@@ -19,8 +19,14 @@ import numpy as np
 
 from .avalanche import avalanche_check, avalanche_on_cocycle
 from .deviation import DeviationError, deviation_measure, initial_scale_check
-from .lyapunov import BudgetError, Sampler, counter_uniform, lyapunov_profile
-from .model import ModelAdmissionError, load_model
+from .lyapunov import (
+    BudgetError,
+    Sampler,
+    counter_uniform,
+    env_threads,
+    lyapunov_profile,
+)
+from .model import ModelAdmissionError, default_theorem_model, load_model
 from .multiscale import (
     EstimatorNoiseError,
     RunStageError,
@@ -36,10 +42,8 @@ EXIT_BUDGET = 3
 
 
 def _threads(args) -> int | None:
-    env = os.environ.get("SKEWSHIFT_THREADS")
-    if env:
-        return max(1, int(env))
-    return getattr(args, "threads", None)
+    env = env_threads()
+    return env if env is not None else getattr(args, "threads", None)
 
 
 def _sampler(args) -> Sampler:
@@ -172,12 +176,13 @@ def cmd_run(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     model_path = cfg.get("model_path")
-    if not model_path:
-        raise ValueError("config must contain model_path")
-    if not os.path.isabs(model_path):
-        model_path = os.path.join(os.path.dirname(os.path.abspath(args.config)),
-                                  model_path)
-    m = load_model(model_path)
+    if model_path:
+        if not os.path.isabs(model_path):
+            model_path = os.path.join(os.path.dirname(os.path.abspath(args.config)),
+                                      model_path)
+        m = load_model(model_path)
+    else:
+        m = default_theorem_model()
     out_dir = args.out or cfg.get("output_dir") or "archive"
     theorem_mode_run(m, None, cfg, out_dir, threads=_threads(args))
     _emit({"archive": out_dir}, None)

@@ -399,29 +399,32 @@ def wronskian(m: JacobiModel, base: TorusPoint, phi: DifferenceSolution,
     return a_n1 * (psi.value(n) * phi.value(n + 1) - phi.value(n) * psi.value(n + 1))
 
 
-def batched_log_norms(
+def batched_log_norm_checkpoints(
     m: JacobiModel,
     x: np.ndarray,
     y: np.ndarray,
     E: float,
-    n: int,
-) -> dict[str, np.ndarray]:
-    """log||M_n||_2 at many base points at once (vectorized over samples).
+    checkpoints: list[int],
+) -> dict[int, dict[str, np.ndarray]]:
+    """log||M_n||_2 at many base points and several scales in one pass.
 
-    One pass multiplies the un-divided factors A'_j with per-step Frobenius
-    renormalization; the plain and unimodular log-norms follow by the exact
-    scalar relations M_n = M_n^a / prod a_{j+1} and M^u = M / |det M|^{1/2}.
-    Returns arrays log_norm, log_norm_u, log_norm_a, log_det.
+    The sweep runs to the largest of the ascending `checkpoints` and reads
+    out every checkpoint on the way, vectorized over samples.  It multiplies
+    the un-divided factors A'_j with per-step Frobenius renormalization; the
+    plain and unimodular log-norms follow by the exact scalar relations
+    M_n = M_n^a / prod a_{j+1} and M^u = M / |det M|^{1/2}.  A checkpoint
+    runs the same elementwise operations as a sweep that stops there, so its
+    values are bitwise those of a separate n-step sweep.  Maps each
+    checkpoint n to arrays log_norm, log_norm_u, log_norm_a, log_det.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
         raise ValueError("x and y must have matching shapes")
+    checkpoints = [int(n) for n in checkpoints]
+    if checkpoints != sorted(checkpoints) or (checkpoints and checkpoints[0] < 0):
+        raise ValueError("checkpoints must be nonnegative and ascending")
     B = x.size
-    if n == 0:
-        z = np.zeros(B)
-        return {"log_norm": z, "log_norm_u": z.copy(), "log_norm_a": z.copy(),
-                "log_det": z.copy()}
     lam, omega = m.lam, m.omega
     r = math.sqrt(2.0)
     m00 = np.full(B, 1.0 / r)
@@ -433,35 +436,57 @@ def batched_log_norms(
     log_det = np.zeros(B)          # accumulates log|a_j| - log|a_{j+1}|
     a_j = None
     log_a_j = None
-    for j in range(1, n + 1):
-        yj = np.mod(y + j * omega, 1.0)
-        xj = np.mod(x + j * y + (j * (j - 1) // 2) * omega, 1.0)
-        if a_j is None:
-            a_j = m.a(yj)
-            log_a_j = np.log(np.abs(a_j))
-        a_next = m.a(np.mod(y + (j + 1) * omega, 1.0))
-        log_a_next = np.log(np.abs(a_next))
-        d = lam * m.v(xj, yj) - E
-        t00 = d * m00 - a_j * m10
-        t01 = d * m01 - a_j * m11
-        t10 = a_next * m00
-        t11 = a_next * m01
-        fro = np.sqrt(t00 * t00 + t01 * t01 + t10 * t10 + t11 * t11)
-        inv = 1.0 / fro
-        m00, m01, m10, m11 = t00 * inv, t01 * inv, t10 * inv, t11 * inv
-        log_scale += np.log(fro)
-        sum_log_a_next += log_a_next
-        log_det += log_a_j - log_a_next
-        a_j, log_a_j = a_next, log_a_next
-    det_u = m00 * m11 - m01 * m10
-    disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
-    log_unit_norm = 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
-    log_norm_a = log_scale + log_unit_norm
-    log_norm = log_norm_a - sum_log_a_next
-    log_norm_u = log_norm - 0.5 * log_det
-    return {
-        "log_norm": log_norm,
-        "log_norm_u": log_norm_u,
-        "log_norm_a": log_norm_a,
-        "log_det": log_det,
-    }
+    out = {}
+    done = 0
+    for n in checkpoints:
+        for j in range(done + 1, n + 1):
+            yj = np.mod(y + j * omega, 1.0)
+            xj = np.mod(x + j * y + (j * (j - 1) // 2) * omega, 1.0)
+            if a_j is None:
+                a_j = m.a(yj)
+                log_a_j = np.log(np.abs(a_j))
+            a_next = m.a(np.mod(y + (j + 1) * omega, 1.0))
+            log_a_next = np.log(np.abs(a_next))
+            d = lam * m.v(xj, yj) - E
+            t00 = d * m00 - a_j * m10
+            t01 = d * m01 - a_j * m11
+            t10 = a_next * m00
+            t11 = a_next * m01
+            fro = np.sqrt(t00 * t00 + t01 * t01 + t10 * t10 + t11 * t11)
+            inv = 1.0 / fro
+            m00, m01, m10, m11 = t00 * inv, t01 * inv, t10 * inv, t11 * inv
+            log_scale += np.log(fro)
+            sum_log_a_next += log_a_next
+            log_det += log_a_j - log_a_next
+            a_j, log_a_j = a_next, log_a_next
+        done = n
+        if n == 0:
+            z = np.zeros(B)
+            out[0] = {"log_norm": z, "log_norm_u": z.copy(),
+                      "log_norm_a": z.copy(), "log_det": z.copy()}
+            continue
+        det_u = m00 * m11 - m01 * m10
+        disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
+        log_unit_norm = 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
+        log_norm_a = log_scale + log_unit_norm
+        log_norm = log_norm_a - sum_log_a_next
+        out[n] = {
+            "log_norm": log_norm,
+            "log_norm_u": log_norm - 0.5 * log_det,
+            "log_norm_a": log_norm_a,
+            "log_det": log_det.copy(),
+        }
+    return out
+
+
+def batched_log_norms(
+    m: JacobiModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    E: float,
+    n: int,
+) -> dict[str, np.ndarray]:
+    """log||M_n||_2 at many base points: the one-checkpoint view of
+    `batched_log_norm_checkpoints`.  Returns arrays log_norm, log_norm_u,
+    log_norm_a, log_det."""
+    return batched_log_norm_checkpoints(m, x, y, E, [n])[n]

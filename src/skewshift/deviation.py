@@ -18,6 +18,7 @@ from .lyapunov import (
     DEFAULT_WORK_BUDGET,
     LyapunovEstimate,
     Sampler,
+    log_norm_sweep,
     lyapunov_finite,
     sample_log_norms,
 )
@@ -95,7 +96,8 @@ def deviation_measure(
 
     The reference L_n must carry std_error <= threshold/10 (grid references
     report 0 by convention); otherwise the call refuses with the sample
-    count that would be needed.
+    count that would be needed.  Both the reference and the sample are
+    charged against `budget`.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -107,7 +109,7 @@ def deviation_measure(
         count = s.total if s.kind == "mc" else 10_000
         scale = reference.std_error / (threshold / 10.0)
         raise DeviationError(int(math.ceil(count * scale * scale)))
-    u = sample_log_norms(m, E, n, s, kind, threads=threads)
+    u = log_norm_sweep(m, E, [n], s, (kind,), budget=budget, threads=threads)[n][kind]
     exceed = int(np.count_nonzero(np.abs(u - reference.value) > threshold))
     total = u.size
     return DeviationReport(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import batched_log_norms
+# batched_log_norms is re-exported: callers import and patch it from here
+from .cocycle import batched_log_norm_checkpoints, batched_log_norms  # noqa: F401
 from .model import JacobiModel
 
 DEFAULT_WORK_BUDGET = 10_000_000_000  # matrix multiplications per job
@@ -123,14 +124,19 @@ class LyapunovEstimate:
         }
 
 
-def thread_count() -> int:
+def env_threads() -> int | None:
+    """The thread count set by SKEWSHIFT_THREADS, or None when it is unset.
+
+    A value that is not an integer raises ValueError.
+    """
     env = os.environ.get("SKEWSHIFT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return None
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(
+            f"SKEWSHIFT_THREADS must be an integer, got {env!r}") from None
 
 
 def _shifted(x: np.ndarray, y: np.ndarray, shift: int, omega: float):
@@ -142,6 +148,54 @@ def _shifted(x: np.ndarray, y: np.ndarray, shift: int, omega: float):
     return xs, ys
 
 
+def log_norm_sweep(
+    m: JacobiModel,
+    E: float,
+    scales: list[int],
+    sampler: Sampler,
+    kinds: tuple[str, ...] = ("plain",),
+    shift: int = 0,
+    budget: float = DEFAULT_WORK_BUDGET,
+    threads: int | None = None,
+) -> dict[int, dict[str, np.ndarray]]:
+    """Per-sample values of (1/n) log||M_n|| at every scale n in `scales`
+    and for each normalization in `kinds`, all from one checkpointed sweep.
+
+    The work (points x largest scale) is checked against `budget` before any
+    point is generated.  Points are swept in fixed chunks on `threads`
+    worker threads (default SKEWSHIFT_THREADS, else 1); every value is
+    computed per sample, so results do not depend on the thread count.
+    `shift` evaluates at T^shift of each sample point (the grid estimate of
+    the same integral, by measure preservation).
+    """
+    if any(kind not in _KIND_KEY for kind in kinds):
+        raise ValueError(f"kind must be one of {KINDS}")
+    scales = sorted({int(n) for n in scales})
+    cost = float(max(scales, default=0)) * sampler.total
+    if cost > budget:
+        raise BudgetError(cost, budget)
+    nthreads = max(1, (env_threads() or 1) if threads is None else threads)
+    x, y = sampler.points()
+    x, y = _shifted(x, y, shift, m.omega)
+    chunks = [(i, min(i + _CHUNK, x.size)) for i in range(0, x.size, _CHUNK)]
+
+    def run(span):
+        lo, hi = span
+        res = batched_log_norm_checkpoints(m, x[lo:hi], y[lo:hi], E, scales)
+        return {(n, kind): res[n][_KIND_KEY[kind]] for n in scales for kind in kinds}
+
+    if nthreads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            parts = list(pool.map(run, chunks))
+    else:
+        parts = [run(span) for span in chunks]
+    out = {n: {} for n in scales}
+    for n, kind in parts[0]:
+        u = np.concatenate([p[n, kind] for p in parts])
+        out[n][kind] = u / n if n > 0 else u
+    return out
+
+
 def sample_log_norms(
     m: JacobiModel,
     E: float,
@@ -151,30 +205,44 @@ def sample_log_norms(
     shift: int = 0,
     threads: int | None = None,
 ) -> np.ndarray:
-    """Per-sample values of (1/n) log||M_n|| for the requested normalization.
+    """Per-sample values of (1/n) log||M_n|| for the requested normalization:
+    the one-scale view of `log_norm_sweep`."""
+    return log_norm_sweep(m, E, [n], sampler, (kind,), shift=shift,
+                          threads=threads)[n][kind]
 
-    `shift` evaluates at T^shift of each sample point (the grid estimate of
-    the same integral, by measure preservation).
+
+def lyapunov_estimates(
+    m: JacobiModel,
+    E: float,
+    scales: list[int],
+    sampler: Sampler,
+    kinds: tuple[str, ...] = ("plain",),
+    budget: float = DEFAULT_WORK_BUDGET,
+    shift: int = 0,
+    threads: int | None = None,
+) -> dict[int, dict[str, LyapunovEstimate]]:
+    """Mean of (1/n) log||M_n|| over the sampler at every scale n in
+    `scales` and for each normalization in `kinds`, from one sweep.
+
+    std_error is the sample standard deviation over sqrt(count) for MC and 0
+    for grid quadrature (grid bias is a convergence question, not noise).
     """
-    if kind not in _KIND_KEY:
-        raise ValueError(f"kind must be one of {KINDS}")
-    x, y = sampler.points()
-    x, y = _shifted(x, y, shift, m.omega)
-    key = _KIND_KEY[kind]
-    nthreads = thread_count() if threads is None else max(1, threads)
-    chunks = [(i, min(i + _CHUNK, x.size)) for i in range(0, x.size, _CHUNK)]
+    if min(scales, default=1) < 1:
+        raise ValueError("n must be positive")
+    u = log_norm_sweep(m, E, scales, sampler, kinds, shift=shift, budget=budget,
+                       threads=threads)
+    mc = sampler.kind == "mc"
 
-    def run(span):
-        lo, hi = span
-        return batched_log_norms(m, x[lo:hi], y[lo:hi], E, n)[key]
+    def estimate(n, kind):
+        v = u[n][kind]
+        se = float(np.std(v, ddof=1) / math.sqrt(v.size)) if mc and v.size > 1 else 0.0
+        return LyapunovEstimate(
+            n=n, kind=kind, E=float(E), value=float(np.mean(v)), std_error=se,
+            sampler=sampler.descriptor, model_hash=m.model_hash,
+            seed=sampler.seed if mc else None,
+        )
 
-    if nthreads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(span) for span in chunks]
-    out = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return out / n if n > 0 else out
+    return {n: {kind: estimate(n, kind) for kind in kinds} for n in u}
 
 
 def lyapunov_finite(
@@ -187,27 +255,10 @@ def lyapunov_finite(
     shift: int = 0,
     threads: int | None = None,
 ) -> LyapunovEstimate:
-    """Mean of (1/n) log||M_n|| over the sampler.
-
-    std_error is the sample standard deviation over sqrt(count) for MC and 0
-    for grid quadrature (grid bias is a convergence question, not noise).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    cost = float(n) * sampler.total
-    if cost > budget:
-        raise BudgetError(cost, budget)
-    u = sample_log_norms(m, E, n, sampler, kind, shift=shift, threads=threads)
-    value = float(np.mean(u))
-    if sampler.kind == "mc" and u.size > 1:
-        se = float(np.std(u, ddof=1) / math.sqrt(u.size))
-    else:
-        se = 0.0
-    return LyapunovEstimate(
-        n=n, kind=kind, E=float(E), value=value, std_error=se,
-        sampler=sampler.descriptor, model_hash=m.model_hash,
-        seed=sampler.seed if sampler.kind == "mc" else None,
-    )
+    """Mean of (1/n) log||M_n|| over the sampler: the one-scale view of
+    `lyapunov_estimates`."""
+    return lyapunov_estimates(m, E, [n], sampler, (kind,), budget=budget,
+                              shift=shift, threads=threads)[n][kind]
 
 
 def lyapunov_profile(
@@ -219,15 +270,16 @@ def lyapunov_profile(
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> tuple[list[LyapunovEstimate], list[float]]:
-    """Estimates at each scale plus the running infimum (the L(E) proxy)."""
+    """Estimates at each scale, all from one sweep, plus the running
+    infimum (the L(E) proxy)."""
     if list(scales) != sorted(scales):
         raise ValueError("scales must be sorted ascending")
-    estimates = []
+    ests = lyapunov_estimates(m, E, scales, sampler, (kind,), budget=budget,
+                              threads=threads)
+    estimates = [ests[n][kind] for n in scales]
     running: list[float] = []
     best = math.inf
-    for n in scales:
-        est = lyapunov_finite(m, E, n, sampler, kind, budget=budget, threads=threads)
-        estimates.append(est)
+    for est in estimates:
         best = min(best, est.value)
         running.append(best)
     return estimates, running
@@ -236,33 +288,14 @@ def lyapunov_profile(
 def lyapunov_all_kinds(
     m: JacobiModel,
     E: float,
-    n: int,
+    scales: list[int],
     sampler: Sampler,
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
-) -> dict[str, LyapunovEstimate]:
-    """All three normalizations from a single cocycle sweep."""
-    cost = float(n) * sampler.total
-    if cost > budget:
-        raise BudgetError(cost, budget)
-    x, y = sampler.points()
-    out = {}
-    res = None
-    chunks = [(i, min(i + _CHUNK, x.size)) for i in range(0, x.size, _CHUNK)]
-    parts = [batched_log_norms(m, x[lo:hi], y[lo:hi], E, n) for lo, hi in chunks]
-    for kind, key in _KIND_KEY.items():
-        u = np.concatenate([p[key] for p in parts]) / n
-        if sampler.kind == "mc" and u.size > 1:
-            se = float(np.std(u, ddof=1) / math.sqrt(u.size))
-        else:
-            se = 0.0
-        out[kind] = LyapunovEstimate(
-            n=n, kind=kind, E=float(E), value=float(np.mean(u)), std_error=se,
-            sampler=sampler.descriptor, model_hash=m.model_hash,
-            seed=sampler.seed if sampler.kind == "mc" else None,
-        )
-    del res
-    return out
+) -> dict[int, dict[str, LyapunovEstimate]]:
+    """All three normalizations at every scale from a single cocycle sweep."""
+    return lyapunov_estimates(m, E, scales, sampler, KINDS, budget=budget,
+                              threads=threads)
 
 
 def almost_invariance_defect(
@@ -279,13 +312,11 @@ def almost_invariance_defect(
         raise ValueError("K must be nonnegative")
     if K == 0:
         return 0.0
-    x, y = sampler.points()
     base = sample_log_norms(m, E, n, sampler, "unimodular", threads=threads)
     acc = np.zeros_like(base)
     for k in range(1, K + 1):
-        xs, ys = _shifted(x, y, k, m.omega)
-        vals = batched_log_norms(m, xs, ys, E, n)["log_norm_u"] / n
-        acc += vals
+        acc += sample_log_norms(m, E, n, sampler, "unimodular", shift=k,
+                                threads=threads)
     return float(np.max(np.abs(acc / K - base)))
 
 
@@ -301,10 +332,11 @@ def subadditivity_check(
 
     The L_m factor is evaluated at T^n of the grid points, so the inequality
     holds pointwise before averaging (||M_{n+m}(p)|| <= ||M_m(T^n p)||
-    ||M_n(p)||) and the comparison is exact up to rounding.
+    ||M_n(p)||) and the comparison is exact up to rounding.  L_n and
+    L_{n+m} come from one sweep.
     """
-    u_full = sample_log_norms(m, E, n + msteps, grid, "plain", threads=threads)
-    u_n = sample_log_norms(m, E, n, grid, "plain", threads=threads)
+    u = log_norm_sweep(m, E, [n, n + msteps], grid, threads=threads)
+    u_full, u_n = u[n + msteps]["plain"], u[n]["plain"]
     u_m = sample_log_norms(m, E, msteps, grid, "plain", shift=n, threads=threads)
     lhs = (n + msteps) * float(np.mean(u_full))
     rhs = n * float(np.mean(u_n)) + msteps * float(np.mean(u_m))

@@ -202,8 +202,8 @@ def derive_constants(
         raise ModelAdmissionError("theorem mode requires a nonconstant potential")
 
     xs = np.arange(GRID_2D) / GRID_2D
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    sup_v = float(np.abs(v(gx, gy)).max()) + 0.5 * v.grad_bound() / GRID_2D
+    vals = v(xs[:, None], xs[None, :])  # broadcast axes, no 1024^2 meshgrid
+    sup_v = float(np.abs(vals).max()) + 0.5 * v.grad_bound() / GRID_2D
 
     log_avg = float(np.mean(np.log(abs_a)))
     sup_a_pad = min(2.0, sup_a + pad_a)

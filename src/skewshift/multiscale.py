@@ -26,11 +26,12 @@ from .deviation import (
     deviation_measure,
     initial_scale_check,
 )
-from .lyapunov import (
+from .lyapunov import (  # noqa: F401 (lyapunov_finite, sample_log_norms re-exported)
     DEFAULT_WORK_BUDGET,
     LyapunovEstimate,
     Sampler,
     lyapunov_all_kinds,
+    lyapunov_estimates,
     lyapunov_finite,
     sample_log_norms,
 )
@@ -158,9 +159,9 @@ def induction_step(
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> InductionRecord:
-    """One induction step: estimate the four Lyapunov scales, measure the
-    two deviation hypotheses, check every hypothesis, and fit the smallest
-    constant making both conclusions hold.
+    """One induction step: estimate the four Lyapunov scales (one sweep to
+    2N), measure the two deviation hypotheses, check every hypothesis, and
+    fit the smallest constant making both conclusions hold.
 
     The paper-level deviation bound N^{-10} is unreachable by sampling; the
     hypothesis booleans compare the Wilson upper bound against
@@ -172,10 +173,9 @@ def induction_step(
         raise ValueError("N must be >= n^2")
     S = m.scaling_factor(E)
     dev_s = deviation_sampler or sampler
-    ests = {}
-    for scale in (n, 2 * n, N, 2 * N):
-        ests[scale] = lyapunov_finite(m, E, scale, sampler, "unimodular",
-                                      budget=budget, threads=threads)
+    sweep = lyapunov_estimates(m, E, [n, 2 * n, N, 2 * N], sampler,
+                               ("unimodular",), budget=budget, threads=threads)
+    ests = {scale: by_kind["unimodular"] for scale, by_kind in sweep.items()}
     noise = max(e.std_error for e in ests.values())
     if noise > gamma * S / 100.0:
         raise EstimatorNoiseError(
@@ -262,7 +262,7 @@ def continuity_probe(
     one-step factor norm) is a pointwise algebraic consequence on matched
     samples and is asserted via `hard_ok`.  The log-Hoelder form is fitted
     against the running-infimum proxy of L over `scales` and reported, not
-    asserted.
+    asserted.  Each energy takes one sweep covering N and `scales`.
     """
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
@@ -272,27 +272,23 @@ def continuity_probe(
         scales = sorted({max(2, N // 4), max(3, N // 2), N})
     log_base = math.log(m.lipschitz_base)
 
-    def u_mean(E, n):
-        return float(np.mean(sample_log_norms(m, E, n, s, "unimodular",
-                                              threads=threads)))
+    def estimate(E):  # (the L_N estimate, the proxy) at energy E
+        ests = lyapunov_estimates(m, E, [N, *scales], s, ("unimodular",),
+                                  budget=budget, threads=threads)
+        return ests[N]["unimodular"], min(ests[n]["unimodular"].value for n in scales)
 
-    def proxy(E):
-        return min(u_mean(E, n) for n in scales)
-
-    L_center = u_mean(E_center, N)
-    proxy_center = proxy(E_center)
-    if s.kind == "mc":
-        est = lyapunov_finite(m, E_center, N, s, "unimodular", budget=budget,
-                              threads=threads)
-        if est.std_error > min(deltas) * math.exp(min(N * log_base, 700.0)):
-            raise EstimatorNoiseError(
-                "estimator noise exceeds the smallest measured difference"
-            )
+    center, proxy_center = estimate(E_center)
+    if s.kind == "mc" and center.std_error > min(deltas) * math.exp(
+            min(N * log_base, 700.0)):
+        raise EstimatorNoiseError(
+            "estimator noise exceeds the smallest measured difference"
+        )
     rows = []
     pts = []
     for d in deltas:
-        dL = abs(u_mean(E_center + d, N) - L_center)
-        dproxy = abs(proxy(E_center + d) - proxy_center)
+        est, proxy_d = estimate(E_center + d)
+        dL = abs(est.value - center.value)
+        dproxy = abs(proxy_d - proxy_center)
         log_bound = N * log_base + math.log(d)
         hard_ok = dL == 0.0 or math.log(dL) <= log_bound + 1e-8
         rows.append(ContinuityRow(float(d), dL, log_bound, hard_ok, dproxy))
@@ -412,10 +408,11 @@ def theorem_mode_run(m: JacobiModel, E_grid: list[float] | None, config: dict,
     lyap_records = []
     lyap_rows = []
     for E in E_grid:
+        by_scale = stage("lyapunov", lambda E=E: lyapunov_all_kinds(
+            m, E, cfg["scales"], mc, budget=budget, threads=threads))
         best = math.inf
         for n in cfg["scales"]:
-            ests = stage("lyapunov", lambda n=n, E=E: lyapunov_all_kinds(
-                m, E, n, mc, budget=budget, threads=threads))
+            ests = by_scale[n]
             best = min(best, ests["unimodular"].value)
             for kind, est in sorted(ests.items()):
                 rec = est.to_json()

@@ -4,7 +4,13 @@ import os
 import pytest
 
 from skewshift.cli import main
-from skewshift.model import default_theorem_model, model_from_dict, model_to_dict, save_model
+from skewshift.model import (
+    default_theorem_model,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    save_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +178,34 @@ def test_threads_env_invariance(tmp_path, model_path, monkeypatch):
                        "--scales", "12", "--mc", "2000", "--out", str(path)) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_threads_env_malformed_exit_2(model_path, monkeypatch, capsys):
+    monkeypatch.setenv("SKEWSHIFT_THREADS", "two")
+    code = run_cli("lyapunov", "--model", model_path, "--E", "0",
+                   "--scales", "4", "--grid", "4")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "SKEWSHIFT_THREADS" in err["message"]
+
+
+def test_run_model_path_default_and_relative(tmp_path, model_path):
+    # without model_path the run uses the built-in theorem model; a relative
+    # model_path resolves against the config file's directory
+    (tmp_path / "rel").mkdir()
+    save_model(load_model(model_path), str(tmp_path / "rel" / "m.json"))
+    small = {"n0": 4, "sigma": 0.02, "mc_samples": 200, "grid": 8,
+             "scales": [4], "deviation_scales": [8],
+             "induction_pairs": [[4, 16]], "continuity_deltas": [1e-2],
+             "diophantine_nmax": 2000}
+    cases = [("empty", {}, default_theorem_model()),
+             ("rel", dict(small, model_path="m.json"), load_model(model_path))]
+    for name, cfg, want in cases:
+        cfg_path = tmp_path / name / "run.json"
+        cfg_path.parent.mkdir(exist_ok=True)
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / f"archive-{name}"
+        assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
+        got = json.loads((out / "model.json").read_text())
+        assert got == model_to_dict(want)

@@ -6,6 +6,7 @@ import pytest
 from skewshift.cocycle import (
     CocycleProduct,
     LogScaledMatrix,
+    batched_log_norm_checkpoints,
     batched_log_norms,
     f_determinant,
     fundamental_matrix,
@@ -254,6 +255,29 @@ def test_batched_matches_scalar(tame_model):
         assert out["log_norm_a"][i] == pytest.approx(ca.log_norm, abs=1e-8)
         assert out["log_norm_u"][i] == pytest.approx(cu.log_norm, abs=1e-8)
         assert out["log_det"][i] == pytest.approx(cp.log_det, abs=1e-8)
+
+
+def test_checkpoints_match_separate_sweeps(theorem_model, tame_model):
+    # checkpoint 0, a repeated checkpoint, and a read-out mid-sweep must be
+    # bitwise the values of a sweep that stops there
+    rng = np.random.default_rng(23)
+    pts = rng.random((17, 2))
+    for m in (tame_model, theorem_model):
+        out = batched_log_norm_checkpoints(m, pts[:, 0], pts[:, 1], 0.35,
+                                           [0, 1, 4, 4, 9])
+        assert sorted(out) == [0, 1, 4, 9]
+        for n, got in out.items():
+            want = batched_log_norms(m, pts[:, 0], pts[:, 1], 0.35, n)
+            for key in ("log_norm", "log_norm_u", "log_norm_a", "log_det"):
+                assert np.array_equal(got[key], want[key]), (n, key)
+    assert np.array_equal(out[0]["log_norm"], np.zeros(17))
+
+
+def test_checkpoints_must_ascend(tame_model):
+    xs = np.array([0.1, 0.2])
+    for bad in ([4, 2], [-1, 3]):
+        with pytest.raises(ValueError):
+            batched_log_norm_checkpoints(tame_model, xs, xs, 0.0, bad)
 
 
 def test_batched_huge_lambda_finite(theorem_model):

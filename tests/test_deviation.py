@@ -12,7 +12,7 @@ from skewshift.deviation import (
     lojasiewicz_probe,
     wilson_interval,
 )
-from skewshift.lyapunov import Sampler
+from skewshift.lyapunov import BudgetError, Sampler, lyapunov_finite
 from skewshift.model import TrigPoly2, default_theorem_model, model_from_dict, model_to_dict
 
 from conftest import make_model
@@ -56,6 +56,13 @@ def test_deviation_refuses_noisy_reference(tame_model):
         deviation_measure(tame_model, 0.0, 20, 1e-9,
                           Sampler.monte_carlo(500, 2),
                           ref_sampler=Sampler.monte_carlo(50, 3))
+
+
+def test_deviation_sample_budget_refusal(tame_model):
+    ref = lyapunov_finite(tame_model, 0.0, 10, Sampler.grid(16))
+    with pytest.raises(BudgetError):
+        deviation_measure(tame_model, 0.0, 10, 0.5, Sampler.grid(16),
+                          reference=ref, budget=1)
 
 
 def test_deviation_json(tame_model):

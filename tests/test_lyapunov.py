@@ -4,13 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from skewshift.cocycle import fundamental_matrix
+from skewshift.cocycle import batched_log_norms, fundamental_matrix
 from skewshift.lyapunov import (
+    KINDS,
     BudgetError,
     LyapunovEstimate,
     Sampler,
     almost_invariance_defect,
     counter_uniform,
+    log_norm_sweep,
     lyapunov_all_kinds,
     lyapunov_finite,
     lyapunov_profile,
@@ -120,13 +122,44 @@ def test_thread_invariance(tame_model):
 
 def test_all_kinds_consistent(tame_model):
     m = tame_model
-    out = lyapunov_all_kinds(m, 0.0, 20, Sampler.grid(16))
+    out = lyapunov_all_kinds(m, 0.0, [20], Sampler.grid(16))[20]
     assert set(out) == {"plain", "unimodular", "a_normalized"}
     # L^a - L^u = D = mean log|a| (integrated normalization identity)
     assert out["a_normalized"].value - out["unimodular"].value == pytest.approx(
         m.log_avg_a, abs=5e-3)
     # unimodular can only exceed plain by half the det magnitude, tiny here
     assert abs(out["unimodular"].value - out["plain"].value) < 0.05
+
+
+def test_sweep_matches_separate_sweeps_across_chunks(tame_model):
+    # 129 x 128 points span two chunks; every scale and kind of the one
+    # checkpointed pass equals an unchunked sweep that stops at that scale
+    s = Sampler.grid(129, 128)
+    x, y = s.points()
+    keys = {"plain": "log_norm", "unimodular": "log_norm_u",
+            "a_normalized": "log_norm_a"}
+    for threads in (1, 2):
+        out = log_norm_sweep(tame_model, 0.2, [5, 0, 2, 5], s, KINDS,
+                             threads=threads)
+        assert sorted(out) == [0, 2, 5]
+        for n in (2, 5):
+            sep = batched_log_norms(tame_model, x, y, 0.2, n)
+            for kind in KINDS:
+                assert np.array_equal(out[n][kind], sep[keys[kind]] / n)
+        assert np.array_equal(out[0]["plain"], np.zeros(s.total))
+
+
+def test_sweep_budget_checked_before_points(tame_model):
+    # 1e12 points would not fit in memory; the refusal comes first
+    with pytest.raises(BudgetError):
+        log_norm_sweep(tame_model, 0.0, [2, 10], Sampler.monte_carlo(10**12, 0),
+                       budget=1e6)
+
+
+def test_threads_env_malformed(tame_model, monkeypatch):
+    monkeypatch.setenv("SKEWSHIFT_THREADS", "two")
+    with pytest.raises(ValueError, match="SKEWSHIFT_THREADS"):
+        sample_log_norms(tame_model, 0.0, 4, Sampler.grid(4))
 
 
 def test_profile_running_infimum(tame_model):

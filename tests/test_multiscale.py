@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from skewshift.lyapunov import Sampler
+from skewshift.lyapunov import BudgetError, Sampler, lyapunov_finite
 from skewshift.model import default_theorem_model, model_from_dict, model_to_dict, save_model
 from skewshift.multiscale import (
     EstimatorNoiseError,
@@ -81,6 +81,15 @@ def test_induction_step_runs(theorem_model):
     assert rec.L_N_u.value > 0.25 * math.log(1e6)
 
 
+def test_induction_repeated_scale_matches_separate(theorem_model):
+    # n = 2, N = 4 makes 2n == N: one checkpoint serves two scales
+    g = Sampler.grid(12)
+    rec = induction_step(theorem_model, 0.0, 2, 4, 0.5, g)
+    got = [rec.L_n_u, rec.L_2n_u, rec.L_N_u, rec.L_2N_u]
+    for est, n in zip(got, (2, 4, 4, 8)):
+        assert est == lyapunov_finite(theorem_model, 0.0, n, g, "unimodular")
+
+
 def test_induction_requires_square(theorem_model):
     with pytest.raises(ValueError):
         induction_step(theorem_model, 0.0, 10, 50, 0.5, Sampler.grid(8))
@@ -102,6 +111,12 @@ def test_continuity_probe_hard_bound(theorem_model):
         assert math.log(max(row.dL, 1e-300)) <= row.lipschitz_log_bound + 1e-8
     # |dL| shrinks with |dE|
     assert probe.rows[-1].dL <= probe.rows[0].dL + 1e-12
+
+
+def test_continuity_budget_refusal(theorem_model):
+    with pytest.raises(BudgetError):
+        continuity_probe(theorem_model, 0.0, [1e-2], 8, Sampler.grid(16),
+                         budget=1)
 
 
 def test_continuity_requires_descending(theorem_model):
