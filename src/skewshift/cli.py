@@ -167,7 +167,7 @@ def cmd_continuity(args) -> int:
 def cmd_initial_scale(args) -> int:
     m = load_model(args.model)
     rep = initial_scale_check(m, args.E, args.n, _sampler(args),
-                              threads=_threads(args))
+                              budget=args.budget, threads=_threads(args))
     _emit(rep.to_json(), args.out)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import JacobiModel, ModelAdmissionError
-from .torus import TorusPoint, mod1
+from .torus import TorusPoint, mod1, mod1_array
 
 _RESCALE = 1e100
 _LOG_RESCALE = math.log(_RESCALE)
@@ -132,12 +132,13 @@ def orbit_values(m: JacobiModel, base: TorusPoint, n: int):
     a_vals[0] = v_vals[0] = np.nan
     x_c, y_c = base.x, base.y
     omega = m.omega
+    a_eval, v_eval = m.a.eval_scalar, m.v.eval_scalar
     for j in range(1, n + 1):
         x_c = mod1(x_c + y_c)
         y_c = mod1(y_c + omega)
-        a_vals[j] = m.a.eval_scalar(y_c)
-        v_vals[j] = m.v.eval_scalar(x_c, y_c)
-    a_vals[n + 1] = m.a.eval_scalar(mod1(y_c + omega))
+        a_vals[j] = a_eval(y_c)
+        v_vals[j] = v_eval(x_c, y_c)
+    a_vals[n + 1] = a_eval(mod1(y_c + omega))
     return a_vals, v_vals
 
 
@@ -156,12 +157,13 @@ def _product_loop(m: JacobiModel, base: TorusPoint, E: float, n: int, divide: bo
     a_eval = m.a.eval_scalar
     v_eval = m.v.eval_scalar
     x_c, y_c = base.x, base.y
-    a_j = a_eval(y_c)  # a_0 placeholder; replaced before first use
+    y_next = mod1(y_c + omega)  # y_1; each step's y_{j+1} is the next y_j
+    a_next = a_eval(y_next)
     for j in range(1, n + 1):
         x_c = mod1(x_c + y_c)
-        y_c = mod1(y_c + omega)
-        a_j = a_eval(y_c) if j == 1 else a_next  # noqa: F821 (defined below)
-        a_next = a_eval(mod1(y_c + omega))
+        y_c, a_j = y_next, a_next
+        y_next = mod1(y_c + omega)
+        a_next = a_eval(y_next)
         if abs(a_j) < _A_FLOOR or abs(a_next) < _A_FLOOR:
             raise ModelAdmissionError(f"|a| < 1 along the orbit at step {j}")
         d = lam * v_eval(x_c, y_c) - E
@@ -434,18 +436,21 @@ def batched_log_norm_checkpoints(
     log_scale = np.full(B, math.log(r))
     sum_log_a_next = np.zeros(B)   # sum_j log|a_{j+1}|
     log_det = np.zeros(B)          # accumulates log|a_j| - log|a_{j+1}|
+    y_next = None  # the previous step's y_{j+1}, which is this step's y_j
     a_j = None
     log_a_j = None
     out = {}
     done = 0
     for n in checkpoints:
         for j in range(done + 1, n + 1):
-            yj = np.mod(y + j * omega, 1.0)
-            xj = np.mod(x + j * y + (j * (j - 1) // 2) * omega, 1.0)
             if a_j is None:
-                a_j = m.a(yj)
+                y_next = mod1_array(y + j * omega)
+                a_j = m.a(y_next)
                 log_a_j = np.log(np.abs(a_j))
-            a_next = m.a(np.mod(y + (j + 1) * omega, 1.0))
+            xj = mod1_array(x + j * y + (j * (j - 1) // 2) * omega)
+            yj = y_next
+            y_next = mod1_array(y + (j + 1) * omega)
+            a_next = m.a(y_next)
             log_a_next = np.log(np.abs(a_next))
             d = lam * m.v(xj, yj) - E
             t00 = d * m00 - a_j * m10

@@ -14,18 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lyapunov import (
+from .cocycle import _LOG_RESCALE, _RESCALE
+from .lyapunov import (  # noqa: F401 (sample_log_norms re-exported)
     DEFAULT_WORK_BUDGET,
     LyapunovEstimate,
     Sampler,
+    charge,
     log_norm_sweep,
     lyapunov_finite,
     sample_log_norms,
 )
 from .model import JacobiModel, TrigPoly2
-
-_RESCALE = 1e100
-_LOG_RESCALE = math.log(_RESCALE)
+from .torus import mod1_array
 
 CASE2_BOUND = 8.0 + 2.0 * math.log(2.0)
 
@@ -135,8 +135,8 @@ def _orbit_scan(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float, n: int) 
     f_cur = np.ones(B)
     offset = np.zeros(B)
     for j in range(1, n + 1):
-        yj = np.mod(y + j * omega, 1.0)
-        xj = np.mod(x + j * y + (j * (j - 1) // 2) * omega, 1.0)
+        yj = mod1_array(y + j * omega)
+        xj = mod1_array(x + j * y + (j * (j - 1) // 2) * omega)
         vj = m.v(xj, yj)
         aj = m.a(yj)
         d = lam * vj - E
@@ -216,11 +216,12 @@ def case2_uniform_check(
     E: float,
     n: int,
     s: Sampler,
+    budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> tuple[float, int]:
     """Pointwise check |(1/n) log||M_n|| - log|E|| <= 8 + 2 log 2 in the
     uniform regime |E| > 2 lambda ||v||; returns (max deviation, violations)."""
-    u = sample_log_norms(m, E, n, s, "plain", threads=threads)
+    u = log_norm_sweep(m, E, [n], s, budget=budget, threads=threads)[n]["plain"]
     dev = np.abs(u - math.log(abs(E)))
     return float(np.max(dev)), int(np.count_nonzero(dev > CASE2_BOUND))
 
@@ -230,22 +231,26 @@ def initial_scale_check(
     E: float,
     n: int,
     s: Sampler,
+    budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> InitialScaleReport:
     """The large-disorder initial-scale diagnostics, split on the energy
-    regime at |E| = 2 lambda ||v||."""
+    regime at |E| = 2 lambda ||v||.  Every sweep is charged against
+    `budget` before it runs."""
     if m.lam <= 1.0:
         raise ValueError("initial-scale check requires large disorder (lambda > 1)")
     S = m.scaling_factor(E)
     log_lam = math.log(m.lam)
-    x, y = s.points()
     if abs(E) > 2.0 * m.lam * m.sup_norm_v:
-        max_dev, violations = case2_uniform_check(m, E, n, s, threads=threads)
+        max_dev, violations = case2_uniform_check(m, E, n, s, budget=budget,
+                                                  threads=threads)
         return InitialScaleReport(
-            n=n, E=float(E), S=S, log_lambda=log_lam, case=2, samples=x.size,
+            n=n, E=float(E), S=S, log_lambda=log_lam, case=2, samples=s.total,
             case2_max_dev=max_dev, case2_bound=CASE2_BOUND,
             case2_violations=violations,
         )
+    charge(n, s, budget)
+    x, y = s.points()
     scan = _orbit_scan(m, x, y, E, n)
     # exact algebraic identity: (1/n) log|det D_n| = log lam + Birkhoff sum
     residual = float(np.max(np.abs(scan["log_det_diag"] - log_lam - scan["birkhoff"])))
@@ -253,7 +258,7 @@ def initial_scale_check(
     thresh = log_lam / 200.0
     k_f = int(np.count_nonzero(np.abs(scan["log_f"] - log_lam) > thresh))
     dev = deviation_measure(m, E, n, S / 20.0, s, kind="unimodular",
-                            threads=threads)
+                            budget=budget, threads=threads)
     return InitialScaleReport(
         n=n, E=float(E), S=S, log_lambda=log_lam, case=1, samples=x.size,
         birkhoff_mean=float(np.mean(scan["birkhoff"])),

@@ -17,6 +17,7 @@ import numpy as np
 # batched_log_norms is re-exported: callers import and patch it from here
 from .cocycle import batched_log_norm_checkpoints, batched_log_norms  # noqa: F401
 from .model import JacobiModel
+from .torus import mod1_array
 
 DEFAULT_WORK_BUDGET = 10_000_000_000  # matrix multiplications per job
 _CHUNK = 16384  # fixed chunk size keeps reductions independent of threads
@@ -38,6 +39,14 @@ class BudgetError(RuntimeError):
         super().__init__(
             f"estimated cost {cost:.3g} matrix products exceeds budget {budget:.3g}"
         )
+
+
+def charge(steps: float, sampler: Sampler, budget: float) -> None:
+    """Refuse, before any point is generated, a job of `steps` matrix steps
+    at each of the sampler's points that exceeds `budget`."""
+    cost = float(steps) * sampler.total
+    if cost > budget:
+        raise BudgetError(cost, budget)
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -143,8 +152,8 @@ def _shifted(x: np.ndarray, y: np.ndarray, shift: int, omega: float):
     if shift == 0:
         return x, y
     k = shift
-    xs = np.mod(x + k * y + (k * (k - 1) // 2) * omega, 1.0)
-    ys = np.mod(y + k * omega, 1.0)
+    xs = mod1_array(x + k * y + (k * (k - 1) // 2) * omega)
+    ys = mod1_array(y + k * omega)
     return xs, ys
 
 
@@ -171,9 +180,7 @@ def log_norm_sweep(
     if any(kind not in _KIND_KEY for kind in kinds):
         raise ValueError(f"kind must be one of {KINDS}")
     scales = sorted({int(n) for n in scales})
-    cost = float(max(scales, default=0)) * sampler.total
-    if cost > budget:
-        raise BudgetError(cost, budget)
+    charge(max(scales, default=0), sampler, budget)
     nthreads = max(1, (env_threads() or 1) if threads is None else threads)
     x, y = sampler.points()
     x, y = _shifted(x, y, shift, m.omega)
@@ -304,19 +311,26 @@ def almost_invariance_defect(
     n: int,
     K: int,
     sampler: Sampler,
+    budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> float:
     """sup over sample points of |(1/K) sum_{k=1..K} u_n(T^k p) - u_n(p)|
-    with u_n = (1/n) log||M_n^u||.  The empty average (K = 0) is 0."""
+    with u_n = (1/n) log||M_n^u||.  The empty average (K = 0) is 0.  The
+    K + 1 sweeps are charged together against `budget` before the first."""
     if K < 0:
         raise ValueError("K must be nonnegative")
     if K == 0:
         return 0.0
-    base = sample_log_norms(m, E, n, sampler, "unimodular", threads=threads)
+    charge((K + 1) * n, sampler, budget)
+
+    def u(k):
+        return log_norm_sweep(m, E, [n], sampler, ("unimodular",), shift=k,
+                              budget=budget, threads=threads)[n]["unimodular"]
+
+    base = u(0)
     acc = np.zeros_like(base)
     for k in range(1, K + 1):
-        acc += sample_log_norms(m, E, n, sampler, "unimodular", shift=k,
-                                threads=threads)
+        acc += u(k)
     return float(np.max(np.abs(acc / K - base)))
 
 
@@ -326,6 +340,7 @@ def subadditivity_check(
     n: int,
     msteps: int,
     grid: Sampler,
+    budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> dict:
     """(n+m) L_{n+m} <= n L_n + m L_m on one matched grid.
@@ -333,11 +348,14 @@ def subadditivity_check(
     The L_m factor is evaluated at T^n of the grid points, so the inequality
     holds pointwise before averaging (||M_{n+m}(p)|| <= ||M_m(T^n p)||
     ||M_n(p)||) and the comparison is exact up to rounding.  L_n and
-    L_{n+m} come from one sweep.
+    L_{n+m} come from one sweep; both sweeps are charged together against
+    `budget` before the first.
     """
-    u = log_norm_sweep(m, E, [n, n + msteps], grid, threads=threads)
+    charge(n + 2 * msteps, grid, budget)
+    u = log_norm_sweep(m, E, [n, n + msteps], grid, budget=budget, threads=threads)
     u_full, u_n = u[n + msteps]["plain"], u[n]["plain"]
-    u_m = sample_log_norms(m, E, msteps, grid, "plain", shift=n, threads=threads)
+    u_m = log_norm_sweep(m, E, [msteps], grid, shift=n, budget=budget,
+                         threads=threads)[msteps]["plain"]
     lhs = (n + msteps) * float(np.mean(u_full))
     rhs = n * float(np.mean(u_n)) + msteps * float(np.mean(u_m))
     return {

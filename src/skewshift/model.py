@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,32 +24,58 @@ GRID_1D = 1 << 14
 GRID_2D = 1024
 
 
+_ONE, _COS, _SIN = 0, 1, 2  # factors of a TrigPoly2 product: 1, cos, sin
+
+
 class ModelAdmissionError(ValueError):
     """Raised when (a, v, lambda) violates the model admission rules."""
 
 
 @dataclass(frozen=True)
 class TrigPoly1:
-    """Finite Fourier series on T: sum_k c_k cos(2 pi k t) + s_k sin(2 pi k t)."""
+    """Finite Fourier series on T: sum_k c_k cos(2 pi k t) + s_k sin(2 pi k t).
+
+    Evaluation costs one trig call per live harmonic (see `_live`).
+    """
 
     terms: tuple[tuple[int, float, float], ...]
+
+    @cached_property
+    def _live(self) -> tuple[tuple[float, float, float], ...]:
+        # (2 pi k, c, s) per term that can be nonzero.  For finite t,
+        # cos(0 t) = 1 and sin(0 t) = 0 exactly, so a k = 0 term is its c; a
+        # zero coefficient adds a signed zero to an accumulator that starts
+        # at +0.0, which leaves every bit unchanged.
+        live = []
+        for k, c, s in self.terms:
+            if k == 0:
+                s = 0.0
+            if c or s:
+                live.append((TWO_PI * k, c, s))
+        return tuple(live)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
         out = np.zeros_like(t)
-        for k, c, s in self.terms:
-            ang = TWO_PI * k * t
+        for w, c, s in self._live:
+            if not w:
+                out += c
+                continue
+            ang = w * t
             if c:
-                out = out + c * np.cos(ang)
+                out += c * np.cos(ang)
             if s:
-                out = out + s * np.sin(ang)
+                out += s * np.sin(ang)
         return out if out.ndim else float(out)
 
     def eval_scalar(self, t: float) -> float:
         # hot path for the scalar cocycle loops; avoids ndarray overhead
         acc = 0.0
-        for k, c, s in self.terms:
-            ang = TWO_PI * k * t
+        for w, c, s in self._live:
+            if not w:
+                acc += c
+                continue
+            ang = w * t
             if c:
                 acc += c * math.cos(ang)
             if s:
@@ -65,30 +92,68 @@ class TrigPoly1:
 
 @dataclass(frozen=True)
 class TrigPoly2:
-    """Finite Fourier series on T^2 in the cos/sin product basis."""
+    """Finite Fourier series on T^2 in the cos/sin product basis.
+
+    Evaluation costs one trig call per live harmonic and axis (see `_live`).
+    """
 
     terms: tuple[tuple[int, int, float, float, float, float], ...]
+
+    @cached_property
+    def _live(self):
+        # Per term that can be nonzero: (2 pi k1, cos x used, sin x used,
+        # 2 pi k2, cos y used, sin y used, products).  A product is
+        # (coefficient, x factor, y factor) in cc, cs, sc, ss order.  A k = 0
+        # axis has the factor 1 (no multiply) and no sin products; zero
+        # coefficients drop too, bitwise safely as in TrigPoly1._live.
+        live = []
+        for k1, k2, cc, cs, sc, ss in self.terms:
+            fx = (_COS, _SIN) if k1 else (_ONE, None)
+            fy = (_COS, _SIN) if k2 else (_ONE, None)
+            prods = tuple(
+                (coef, fx[i], fy[j])
+                for coef, i, j in ((cc, 0, 0), (cs, 0, 1), (sc, 1, 0), (ss, 1, 1))
+                if coef and fx[i] is not None and fy[j] is not None
+            )
+            if prods:
+                xf = {i for _, i, _ in prods}
+                yf = {j for _, _, j in prods}
+                live.append((TWO_PI * k1, _COS in xf, _SIN in xf,
+                             TWO_PI * k2, _COS in yf, _SIN in yf, prods))
+        return tuple(live)
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         out = np.zeros(np.broadcast(x, y).shape, dtype=np.float64)
-        for k1, k2, cc, cs, sc, ss in self.terms:
-            a1 = TWO_PI * k1 * x
-            a2 = TWO_PI * k2 * y
-            c1, s1 = np.cos(a1), np.sin(a1)
-            c2, s2 = np.cos(a2), np.sin(a2)
-            out += cc * c1 * c2 + cs * c1 * s2 + sc * s1 * c2 + ss * s1 * s2
+        for w1, cos1, sin1, w2, cos2, sin2, prods in self._live:
+            fx = (1.0, np.cos(w1 * x) if cos1 else None,
+                  np.sin(w1 * x) if sin1 else None)
+            fy = (1.0, np.cos(w2 * y) if cos2 else None,
+                  np.sin(w2 * y) if sin2 else None)
+            term = None
+            for coef, i, j in prods:
+                p = coef * fx[i] if i else coef
+                if j:
+                    p = p * fy[j]
+                term = p if term is None else term + p
+            out += term
         return out if out.ndim else float(out)
 
     def eval_scalar(self, x: float, y: float) -> float:
         acc = 0.0
-        for k1, k2, cc, cs, sc, ss in self.terms:
-            a1 = TWO_PI * k1 * x
-            a2 = TWO_PI * k2 * y
-            c1, s1 = math.cos(a1), math.sin(a1)
-            c2, s2 = math.cos(a2), math.sin(a2)
-            acc += cc * c1 * c2 + cs * c1 * s2 + sc * s1 * c2 + ss * s1 * s2
+        for w1, cos1, sin1, w2, cos2, sin2, prods in self._live:
+            fx = (1.0, math.cos(w1 * x) if cos1 else None,
+                  math.sin(w1 * x) if sin1 else None)
+            fy = (1.0, math.cos(w2 * y) if cos2 else None,
+                  math.sin(w2 * y) if sin2 else None)
+            term = None
+            for coef, i, j in prods:
+                p = coef * fx[i] if i else coef
+                if j:
+                    p = p * fy[j]
+                term = p if term is None else term + p
+            acc += term
         return acc
 
     def grad_bound(self) -> float:

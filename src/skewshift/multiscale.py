@@ -429,7 +429,7 @@ def theorem_mode_run(m: JacobiModel, E_grid: list[float] | None, config: dict,
     init_records = []
     for E in E_grid:
         rep = stage("initial_scale", lambda E=E: initial_scale_check(
-            m, E, cfg["n0"], mc, threads=threads))
+            m, E, cfg["n0"], mc, budget=budget, threads=threads))
         init_records.append(rep.to_json())
     _dump_jsonl(init_records, os.path.join(output_dir, "records", "initial_scale.jsonl"))
 

@@ -68,6 +68,14 @@ def test_budget_refusal_exit_3(model_path, capsys):
     assert err["error"] == "BudgetError"
 
 
+def test_initial_scale_budget_exit_3(model_path, capsys):
+    code = run_cli("initial-scale", "--model", model_path, "--E", "0",
+                   "--n", "10", "--grid", "8", "--budget", "1")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BudgetError"
+
+
 def test_missing_model_exit_2(capsys):
     code = run_cli("lyapunov", "--model", "/nonexistent/m.json", "--E", "0",
                    "--scales", "10")

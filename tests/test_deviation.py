@@ -97,6 +97,16 @@ def test_initial_scale_diag_identity(theorem_model):
     assert rep.log_lambda == pytest.approx(math.log(1e6))
 
 
+def test_initial_scale_budget_refusal(theorem_model):
+    m = theorem_model
+    for E in (0.0, 3.0 * m.lam * m.sup_norm_v):  # case 1, case 2
+        with pytest.raises(BudgetError):
+            initial_scale_check(m, E, 10, Sampler.grid(8), budget=1)
+    # the orbit scan is refused before 1e12 points are generated
+    with pytest.raises(BudgetError):
+        initial_scale_check(m, 0.0, 10, Sampler.monte_carlo(10**12, 0), budget=1e6)
+
+
 def test_initial_scale_requires_large_lambda(tame_model):
     d = model_to_dict(tame_model)
     d["lambda"] = 0.5

@@ -192,6 +192,19 @@ def test_almost_invariance_small(tame_model):
     assert 0.0 <= d < 3 * 2 * tame_model.scaling_factor(0.1) / 50
 
 
+def test_multi_sweep_checks_refuse_over_budget(tame_model):
+    # the whole job is charged before the first sweep: on 64 points each
+    # sweep alone fits in 1000 steps (12 x 64 and 10 x 64), the job does not
+    grid = Sampler.grid(8)
+    for budget in (1, 1000):
+        with pytest.raises(BudgetError) as ei:
+            subadditivity_check(tame_model, 0.3, 6, 6, grid, budget=budget)
+        assert ei.value.cost == (6 + 2 * 6) * 64
+        with pytest.raises(BudgetError) as ei:
+            almost_invariance_defect(tame_model, 0.1, 10, 3, grid, budget=budget)
+        assert ei.value.cost == 4 * 10 * 64
+
+
 def test_estimate_to_json(tame_model):
     est = lyapunov_finite(tame_model, 0.1, 5, Sampler.grid(4))
     rec = est.to_json()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewshift.model import (
     JacobiModel,
@@ -49,6 +51,65 @@ def test_trigpoly2_mixed_term():
     want = 0.7 * math.sin(2 * math.pi * x) * math.sin(4 * math.pi * y)
     assert v(x, y) == pytest.approx(want)
     assert v.eval_scalar(x, y) == pytest.approx(want)
+
+
+def _textbook1(terms, t, lib):
+    """sum_k c cos(2 pi k t) + s sin(2 pi k t), every term and product
+    evaluated: the reference that skipping dead harmonics must match."""
+    acc = np.zeros_like(t) if lib is np else 0.0
+    for k, c, s in terms:
+        ang = 2.0 * math.pi * k * t
+        if c:
+            acc = acc + c * lib.cos(ang)
+        if s:
+            acc = acc + s * lib.sin(ang)
+    return acc
+
+
+def _textbook2(terms, x, y, lib):
+    acc = np.zeros(np.broadcast(x, y).shape) if lib is np else 0.0
+    for k1, k2, cc, cs, sc, ss in terms:
+        a1 = 2.0 * math.pi * k1 * x
+        a2 = 2.0 * math.pi * k2 * y
+        c1, s1 = lib.cos(a1), lib.sin(a1)
+        c2, s2 = lib.cos(a2), lib.sin(a2)
+        acc = acc + (cc * c1 * c2 + cs * c1 * s2 + sc * s1 * c2 + ss * s1 * s2)
+    return acc
+
+
+_freq = st.integers(-3, 3)
+_coef = st.one_of(st.just(0.0), st.just(1.0),
+                  st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+_phase = st.one_of(st.just(-0.0), st.floats(-2.0, 2.0, allow_nan=False))
+_phases = st.lists(_phase, min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_freq, _coef, _coef), min_size=1, max_size=4), _phases)
+def test_trigpoly1_bitwise_textbook(terms, ts):
+    a = TrigPoly1(tuple(terms))
+    t = np.array(ts)
+    assert np.asarray(a(t)).tobytes() == _textbook1(terms, t, np).tobytes()
+    for ti in ts:
+        want = _textbook1(terms, ti, math)
+        assert math.copysign(1.0, a.eval_scalar(ti)) == math.copysign(1.0, want)
+        assert a.eval_scalar(ti) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_freq, _freq, _coef, _coef, _coef, _coef),
+                min_size=1, max_size=4), _phases, _phases)
+def test_trigpoly2_bitwise_textbook(terms, xs, ys):
+    v = TrigPoly2(tuple(terms))
+    size = min(len(xs), len(ys))
+    x, y = np.array(xs[:size]), np.array(ys[:size])
+    assert np.asarray(v(x, y)).tobytes() == _textbook2(terms, x, y, np).tobytes()
+    grid = v(x[:, None], y[None, :])
+    assert grid.tobytes() == _textbook2(terms, x[:, None], y[None, :], np).tobytes()
+    for xi, yi in zip(x, y):
+        want = _textbook2(terms, float(xi), float(yi), math)
+        assert math.copysign(1.0, v.eval_scalar(xi, yi)) == math.copysign(1.0, want)
+        assert v.eval_scalar(xi, yi) == want
 
 
 def test_trigpoly2_is_constant():

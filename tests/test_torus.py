@@ -15,6 +15,7 @@ from skewshift.torus import (
     convergent,
     diophantine_check,
     mod1,
+    mod1_array,
     skew_shift,
     skew_shift_iterate,
 )
@@ -28,6 +29,16 @@ def test_mod1_basics():
     assert mod1(1.0) == 0.0
     assert mod1(-0.25) == 0.75
     assert mod1(2.75) == pytest.approx(0.75)
+
+
+def test_mod1_array_is_bitwise_np_mod():
+    edges = [0.0, 1.0, 1e-20, 1.0 - 2.0**-53, 2.0**52 + 0.5, 2.0**60, 0.75,
+             GOLDEN_MEAN, 12345.678]
+    z = np.array(edges + [-e for e in edges])
+    got, want = mod1_array(z), np.mod(z, 1.0)
+    assert got.tobytes() == want.tobytes()
+    assert got[len(edges)] == 0.0 and not np.signbit(got[len(edges)])  # -0.0
+    assert [mod1(float(t)) for t in z] == list(want)
 
 
 def test_circle_dist():
