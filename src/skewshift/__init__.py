@@ -12,7 +12,9 @@ from .cocycle import LogScaledMatrix, CocycleProduct, fundamental_matrix
 from .lyapunov import Sampler, LyapunovEstimate, lyapunov_finite, lyapunov_profile
 from .avalanche import AvalancheReport, avalanche_check, avalanche_on_cocycle
 from .deviation import DeviationReport, deviation_measure, lojasiewicz_probe
-from .multiscale import InductionRecord, ScaleSchedule, induction_step, scale_schedule
+from .multiscale import (
+    InductionRecord, ScaleSchedule, induction_step, induction_steps, scale_schedule,
+)
 
 __version__ = "0.1.0"
 
@@ -23,5 +25,6 @@ __all__ = [
     "Sampler", "LyapunovEstimate", "lyapunov_finite", "lyapunov_profile",
     "AvalancheReport", "avalanche_check", "avalanche_on_cocycle",
     "DeviationReport", "deviation_measure", "lojasiewicz_probe",
-    "InductionRecord", "ScaleSchedule", "induction_step", "scale_schedule",
+    "InductionRecord", "ScaleSchedule", "induction_step", "induction_steps",
+    "scale_schedule",
 ]

@@ -157,27 +157,33 @@ def _product_loop(m: JacobiModel, base: TorusPoint, E: float, n: int, divide: bo
     a_eval = m.a.eval_scalar
     v_eval = m.v.eval_scalar
     x_c, y_c = base.x, base.y
-    y_next = mod1(y_c + omega)  # y_1; each step's y_{j+1} is the next y_j
+    # each step's y_{j+1}, a_{j+1} and log|a_{j+1}| are the next step's y_j,
+    # a_j and log|a_j|; a value is checked against the floor before its log
+    y_next = mod1(y_c + omega)
     a_next = a_eval(y_next)
+    if n and abs(a_next) < _A_FLOOR:
+        raise ModelAdmissionError("|a| < 1 along the orbit at step 1")
+    log_a_next = math.log(abs(a_next)) if n else 0.0
     for j in range(1, n + 1):
         x_c = mod1(x_c + y_c)
-        y_c, a_j = y_next, a_next
+        y_c, a_j, log_a_j = y_next, a_next, log_a_next
         y_next = mod1(y_c + omega)
         a_next = a_eval(y_next)
-        if abs(a_j) < _A_FLOOR or abs(a_next) < _A_FLOOR:
+        if abs(a_next) < _A_FLOOR:
             raise ModelAdmissionError(f"|a| < 1 along the orbit at step {j}")
+        log_a_next = math.log(abs(a_next))
         d = lam * v_eval(x_c, y_c) - E
         if divide:
             # A_j = [[d/a_{j+1}, -a_j/a_{j+1}], [1, 0]]
             t00 = (d * u00 - a_j * u10) / a_next
             t01 = (d * u01 - a_j * u11) / a_next
             t10, t11 = u00, u01
-            log_det += math.log(abs(a_j)) - math.log(abs(a_next))
+            log_det += log_a_j - log_a_next
         else:
             t00 = d * u00 - a_j * u10
             t01 = d * u01 - a_j * u11
             t10, t11 = a_next * u00, a_next * u01
-            log_det += math.log(abs(a_j)) + math.log(abs(a_next))
+            log_det += log_a_j + log_a_next
         fro = math.sqrt(t00 * t00 + t01 * t01 + t10 * t10 + t11 * t11)
         u00, u01, u10, u11 = t00 / fro, t01 / fro, t10 / fro, t11 / fro
         log_scale += math.log(fro)
@@ -416,26 +422,31 @@ def batched_log_norm_checkpoints(
     plain and unimodular log-norms follow by the exact scalar relations
     M_n = M_n^a / prod a_{j+1} and M^u = M / |det M|^{1/2}.  A checkpoint
     runs the same elementwise operations as a sweep that stops there, so its
-    values are bitwise those of a separate n-step sweep.  Maps each
-    checkpoint n to arrays log_norm, log_norm_u, log_norm_a, log_det.
+    values are bitwise those of a separate n-step sweep.
+
+    `x` and `y` are equal-length sample lists or broadcastable axes of a
+    product grid, e.g. x of shape (R, 1) or (R, C) and y of shape (1, C).
+    What depends on y alone (the y phases, a_j, log|a_j| and their sums) is
+    computed at y's shape, once per grid column; broadcasting hands every
+    sample the same operands in the same order, so the values are bitwise
+    those of the ravelled points.  Maps each checkpoint n to arrays
+    log_norm, log_norm_u, log_norm_a, log_det, ravelled in C (x-major) order.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError("x and y must have matching shapes")
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    shape = np.broadcast_shapes(x.shape, y.shape)
     checkpoints = [int(n) for n in checkpoints]
     if checkpoints != sorted(checkpoints) or (checkpoints and checkpoints[0] < 0):
         raise ValueError("checkpoints must be nonnegative and ascending")
-    B = x.size
     lam, omega = m.lam, m.omega
     r = math.sqrt(2.0)
-    m00 = np.full(B, 1.0 / r)
-    m01 = np.zeros(B)
-    m10 = np.zeros(B)
-    m11 = np.full(B, 1.0 / r)
-    log_scale = np.full(B, math.log(r))
-    sum_log_a_next = np.zeros(B)   # sum_j log|a_{j+1}|
-    log_det = np.zeros(B)          # accumulates log|a_j| - log|a_{j+1}|
+    m00 = np.full(shape, 1.0 / r)
+    m01 = np.zeros(shape)
+    m10 = np.zeros(shape)
+    m11 = np.full(shape, 1.0 / r)
+    log_scale = np.full(shape, math.log(r))
+    sum_log_a_next = np.zeros(y.shape)   # sum_j log|a_{j+1}|
+    log_det = np.zeros(y.shape)          # accumulates log|a_j| - log|a_{j+1}|
     y_next = None  # the previous step's y_{j+1}, which is this step's y_j
     a_j = None
     log_a_j = None
@@ -466,7 +477,7 @@ def batched_log_norm_checkpoints(
             a_j, log_a_j = a_next, log_a_next
         done = n
         if n == 0:
-            z = np.zeros(B)
+            z = np.zeros(math.prod(shape))
             out[0] = {"log_norm": z, "log_norm_u": z.copy(),
                       "log_norm_a": z.copy(), "log_det": z.copy()}
             continue
@@ -476,10 +487,10 @@ def batched_log_norm_checkpoints(
         log_norm_a = log_scale + log_unit_norm
         log_norm = log_norm_a - sum_log_a_next
         out[n] = {
-            "log_norm": log_norm,
-            "log_norm_u": log_norm - 0.5 * log_det,
-            "log_norm_a": log_norm_a,
-            "log_det": log_det.copy(),
+            "log_norm": log_norm.ravel(),
+            "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
+            "log_norm_a": log_norm_a.ravel(),
+            "log_det": np.broadcast_to(log_det, shape).flatten(),
         }
     return out
 

@@ -28,6 +28,7 @@ from .model import JacobiModel, TrigPoly2
 from .torus import mod1_array
 
 CASE2_BOUND = 8.0 + 2.0 * math.log(2.0)
+REFERENCE_GRID = Sampler.grid(128)  # default reference sampler of deviation_measure
 
 
 class DeviationError(RuntimeError):
@@ -102,7 +103,7 @@ def deviation_measure(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if reference is None:
-        ref_sampler = ref_sampler or Sampler.grid(128)
+        ref_sampler = ref_sampler or REFERENCE_GRID
         reference = lyapunov_finite(m, E, n, ref_sampler, kind, budget=budget,
                                     threads=threads)
     if reference.std_error > threshold / 10.0:

@@ -97,12 +97,22 @@ class Sampler:
             return f"grid:{self.gx}x{self.gy}"
         return f"mc:{self.count}:seed={self.seed}"
 
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's midpoint axes: x of shape (gx, 1), y of shape (1, gy).
+
+        Grid point (i, j) is (x[i], y[j]) and sits at index i * gy + j of
+        `points()`, which ravels the broadcast axes (x-major order).
+        """
+        if self.kind != "grid":
+            raise ValueError("only grid samplers have axes")
+        xs = (np.arange(self.gx) + 0.5) / self.gx
+        ys = (np.arange(self.gy) + 0.5) / self.gy
+        return xs[:, None], ys[None, :]
+
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind == "grid":
-            xs = (np.arange(self.gx) + 0.5) / self.gx
-            ys = (np.arange(self.gy) + 0.5) / self.gy
-            gx, gy = np.meshgrid(xs, ys, indexing="ij")
-            return gx.ravel(), gy.ravel()
+            x, y = np.broadcast_arrays(*self.axes())
+            return x.ravel(), y.ravel()
         idx = np.arange(self.count, dtype=np.uint64)
         x = counter_uniform(self.seed, 2 * idx)
         y = counter_uniform(self.seed, 2 * idx + np.uint64(1))
@@ -171,24 +181,33 @@ def log_norm_sweep(
     and for each normalization in `kinds`, all from one checkpointed sweep.
 
     The work (points x largest scale) is checked against `budget` before any
-    point is generated.  Points are swept in fixed chunks on `threads`
-    worker threads (default SKEWSHIFT_THREADS, else 1); every value is
-    computed per sample, so results do not depend on the thread count.
-    `shift` evaluates at T^shift of each sample point (the grid estimate of
-    the same integral, by measure preservation).
+    point is generated.  Points are swept in chunks on `threads` worker
+    threads (default SKEWSHIFT_THREADS, else 1): MC samples in fixed chunks
+    of _CHUNK, grids as whole rows of their axes, so the kernel computes
+    what depends on y once per column.  Every value is computed per sample,
+    so results do not depend on the chunking or the thread count.  `shift`
+    evaluates at T^shift of each sample point (the grid estimate of the
+    same integral, by measure preservation).
     """
     if any(kind not in _KIND_KEY for kind in kinds):
         raise ValueError(f"kind must be one of {KINDS}")
     scales = sorted({int(n) for n in scales})
     charge(max(scales, default=0), sampler, budget)
     nthreads = max(1, (env_threads() or 1) if threads is None else threads)
-    x, y = sampler.points()
+    if sampler.kind == "grid":
+        x, y = sampler.axes()
+        step = max(1, _CHUNK // sampler.gy)
+    else:
+        x, y = sampler.points()
+        step = _CHUNK
     x, y = _shifted(x, y, shift, m.omega)
-    chunks = [(i, min(i + _CHUNK, x.size)) for i in range(0, x.size, _CHUNK)]
+    chunks = [(i, min(i + step, len(x))) for i in range(0, len(x), step)]
 
     def run(span):
         lo, hi = span
-        res = batched_log_norm_checkpoints(m, x[lo:hi], y[lo:hi], E, scales)
+        # a grid's y is one (1, gy) row that every chunk of x rows shares
+        res = batched_log_norm_checkpoints(m, x[lo:hi], y if y.ndim > 1 else y[lo:hi],
+                                           E, scales)
         return {(n, kind): res[n][_KIND_KEY[kind]] for n in scales for kind in kinds}
 
     if nthreads > 1 and len(chunks) > 1:

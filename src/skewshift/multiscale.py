@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .deviation import (
+    REFERENCE_GRID,
     DeviationReport,
     deviation_measure,
     initial_scale_check,
@@ -146,6 +147,81 @@ def arithmetic_hypothesis(gamma: float, S: float, n: int, N: int) -> bool:
     return 9.0 * gamma * n * S >= 10.0 * math.log(2.0 * N) and n * n <= N
 
 
+def induction_steps(
+    m: JacobiModel,
+    E: float,
+    pairs: list[tuple[int, int]],
+    gamma: float,
+    sampler: Sampler,
+    deviation_sampler: Sampler | None = None,
+    C0: float = DEFAULT_C0,
+    ldt_proxy_bound: float = 0.05,
+    budget: float = DEFAULT_WORK_BUDGET,
+    threads: int | None = None,
+) -> list[InductionRecord]:
+    """Induction steps for several (n, N) pairs at one energy: estimate
+    every pair's four Lyapunov scales n, 2n, N, 2N from one sweep (to the
+    largest 2N), measure the two deviation hypotheses once per distinct
+    scale, check every hypothesis, and fit the smallest constant making
+    both conclusions hold.  One record per pair, in order.
+
+    Every pair is validated before the sweep, which is charged against
+    `budget` as one job.  The paper-level deviation bound N^{-10} is
+    unreachable by sampling; the hypothesis booleans compare the Wilson
+    upper bound against `ldt_proxy_bound` instead, and both numbers are
+    recorded.
+    """
+    pairs = [(int(n), int(N)) for n, N in pairs]
+    for n, N in pairs:
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        if N < n * n:
+            raise ValueError("N must be >= n^2")
+    S = m.scaling_factor(E)
+    dev_s = deviation_sampler or sampler
+    scales = {k for n, N in pairs for k in (n, 2 * n, N, 2 * N)}
+    sweep = lyapunov_estimates(m, E, sorted(scales), sampler, ("unimodular",),
+                               budget=budget, threads=threads)
+    ests = {scale: by_kind["unimodular"] for scale, by_kind in sweep.items()}
+    noise = max(e.std_error for e in ests.values())
+    if noise > gamma * S / 100.0:
+        raise EstimatorNoiseError(
+            f"std_error {noise:.3g} exceeds gamma*S/100 = {gamma * S / 100:.3g}"
+        )
+    thr = S * gamma / 10.0
+    devs = {
+        k: deviation_measure(m, E, k, thr, dev_s, kind="unimodular",
+                             reference=ests[k] if sampler.kind == "grid" else None,
+                             budget=budget, threads=threads)
+        for k in sorted({k for n, _ in pairs for k in (n, 2 * n)})
+    }
+    records = []
+    for n, N in pairs:
+        dev_n, dev_2n = devs[n], devs[2 * n]
+        L_n, L_2n = ests[n].value, ests[2 * n].value
+        L_N, L_2N = ests[N].value, ests[2 * N].value
+        gap_small = L_n - L_2n
+        concl_lower = L_N - (gamma * S - 2.0 * gap_small - C0 * S * n / N)
+        concl_gap = C0 * S * n / N - (L_N - L_2N)
+        c1 = (gamma * S - 2.0 * gap_small - L_N) * N / (S * n)
+        c2 = (L_N - L_2N) * N / (S * n)
+        records.append(InductionRecord(
+            n=n, N=N, gamma=gamma, S=S,
+            L_n_u=ests[n], L_2n_u=ests[2 * n], L_N_u=ests[N], L_2N_u=ests[2 * N],
+            hyp_ldt_n=dev_n, hyp_ldt_2n=dev_2n,
+            ldt_paper_bound=float(N) ** -10,
+            ldt_proxy_bound=ldt_proxy_bound,
+            hyp_ldt_n_ok=dev_n.wilson[1] <= ldt_proxy_bound,
+            hyp_ldt_2n_ok=dev_2n.wilson[1] <= ldt_proxy_bound,
+            hyp_min_L=min(L_n, L_2n) >= gamma * S,
+            hyp_gap=gap_small <= gamma * S / 40.0,
+            hyp_arith=arithmetic_hypothesis(gamma, S, n, N),
+            C0=C0, concl_lower=concl_lower, concl_gap=concl_gap,
+            C0_fit=max(0.0, c1, c2),
+        ))
+    return records
+
+
 def induction_step(
     m: JacobiModel,
     E: float,
@@ -159,56 +235,11 @@ def induction_step(
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> InductionRecord:
-    """One induction step: estimate the four Lyapunov scales (one sweep to
-    2N), measure the two deviation hypotheses, check every hypothesis, and
-    fit the smallest constant making both conclusions hold.
-
-    The paper-level deviation bound N^{-10} is unreachable by sampling; the
-    hypothesis booleans compare the Wilson upper bound against
-    `ldt_proxy_bound` instead, and both numbers are recorded.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if N < n * n:
-        raise ValueError("N must be >= n^2")
-    S = m.scaling_factor(E)
-    dev_s = deviation_sampler or sampler
-    sweep = lyapunov_estimates(m, E, [n, 2 * n, N, 2 * N], sampler,
-                               ("unimodular",), budget=budget, threads=threads)
-    ests = {scale: by_kind["unimodular"] for scale, by_kind in sweep.items()}
-    noise = max(e.std_error for e in ests.values())
-    if noise > gamma * S / 100.0:
-        raise EstimatorNoiseError(
-            f"std_error {noise:.3g} exceeds gamma*S/100 = {gamma * S / 100:.3g}"
-        )
-    thr = S * gamma / 10.0
-    dev_n = deviation_measure(m, E, n, thr, dev_s, kind="unimodular",
-                              reference=ests[n] if sampler.kind == "grid" else None,
-                              budget=budget, threads=threads)
-    dev_2n = deviation_measure(m, E, 2 * n, thr, dev_s, kind="unimodular",
-                               reference=ests[2 * n] if sampler.kind == "grid" else None,
-                               budget=budget, threads=threads)
-    L_n, L_2n = ests[n].value, ests[2 * n].value
-    L_N, L_2N = ests[N].value, ests[2 * N].value
-    gap_small = L_n - L_2n
-    concl_lower = L_N - (gamma * S - 2.0 * gap_small - C0 * S * n / N)
-    concl_gap = C0 * S * n / N - (L_N - L_2N)
-    c1 = (gamma * S - 2.0 * gap_small - L_N) * N / (S * n)
-    c2 = (L_N - L_2N) * N / (S * n)
-    return InductionRecord(
-        n=n, N=N, gamma=gamma, S=S,
-        L_n_u=ests[n], L_2n_u=ests[2 * n], L_N_u=ests[N], L_2N_u=ests[2 * N],
-        hyp_ldt_n=dev_n, hyp_ldt_2n=dev_2n,
-        ldt_paper_bound=float(N) ** -10,
-        ldt_proxy_bound=ldt_proxy_bound,
-        hyp_ldt_n_ok=dev_n.wilson[1] <= ldt_proxy_bound,
-        hyp_ldt_2n_ok=dev_2n.wilson[1] <= ldt_proxy_bound,
-        hyp_min_L=min(L_n, L_2n) >= gamma * S,
-        hyp_gap=gap_small <= gamma * S / 40.0,
-        hyp_arith=arithmetic_hypothesis(gamma, S, n, N),
-        C0=C0, concl_lower=concl_lower, concl_gap=concl_gap,
-        C0_fit=max(0.0, c1, c2),
-    )
+    """One induction step (four Lyapunov scales from one sweep to 2N): the
+    one-pair view of `induction_steps`."""
+    return induction_steps(m, E, [(n, N)], gamma, sampler, deviation_sampler,
+                           C0=C0, ldt_proxy_bound=ldt_proxy_bound, budget=budget,
+                           threads=threads)[0]
 
 
 @dataclass(frozen=True)
@@ -436,11 +467,10 @@ def theorem_mode_run(m: JacobiModel, E_grid: list[float] | None, config: dict,
     # induction steps
     ind_records = []
     for E in E_grid:
-        for n, N in cfg["induction_pairs"]:
-            rec = stage("induction", lambda n=n, N=N, E=E: induction_step(
-                m, E, int(n), int(N), cfg["gamma"], grid,
-                deviation_sampler=mc, budget=budget, threads=threads))
-            ind_records.append(rec.to_json())
+        recs = stage("induction", lambda E=E: induction_steps(
+            m, E, cfg["induction_pairs"], cfg["gamma"], grid,
+            deviation_sampler=mc, budget=budget, threads=threads))
+        ind_records.extend(rec.to_json() for rec in recs)
     _dump_jsonl(ind_records, os.path.join(output_dir, "records", "induction.jsonl"))
 
     # deviation trend
@@ -448,10 +478,15 @@ def theorem_mode_run(m: JacobiModel, E_grid: list[float] | None, config: dict,
     dev_rows = []
     for E in E_grid:
         S = m.scaling_factor(E)
+        # one sweep of the reference grid serves every deviation scale
+        refs = stage("deviation", lambda E=E: lyapunov_estimates(
+            m, E, cfg["deviation_scales"], REFERENCE_GRID, budget=budget,
+            threads=threads))
         for n in cfg["deviation_scales"]:
             thr = S * float(n) ** (-cfg["deviation_tau"])
             rep = stage("deviation", lambda n=n, E=E, thr=thr: deviation_measure(
-                m, E, n, thr, mc, kind="plain", budget=budget, threads=threads))
+                m, E, n, thr, mc, kind="plain", reference=refs[n]["plain"],
+                budget=budget, threads=threads))
             dev_records.append(rep.to_json())
             dev_rows.append([n, E, thr, rep.empirical_measure,
                              rep.wilson[0], rep.wilson[1], rep.samples, seed])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from skewshift.cocycle import (
     transfer_matrix,
     wronskian,
 )
-from skewshift.model import model_from_dict, model_to_dict
+from skewshift.model import ModelAdmissionError, TrigPoly1, model_from_dict, model_to_dict
 from skewshift.torus import TorusPoint, mod1, skew_shift_iterate
 
 from conftest import constant_model, dense_product, make_model, random_points, tridiag_det
@@ -134,6 +135,24 @@ def test_a_product_identity(tame_model):
     a_vals, _ = orbit_values(m, p, n)
     offset = float(np.sum(np.log(np.abs(a_vals[2:n + 2]))))
     assert ca.log_norm == pytest.approx(cp.log_norm + offset, abs=1e-8)
+
+
+def test_product_refuses_small_a_along_orbit(tame_model):
+    # models built past admission: |a| below the floor raises the admission
+    # error at the step that first meets it, never a math domain error from
+    # log 0; n = 0 meets no a_j and raises nothing
+    zero = dataclasses.replace(tame_model, a=TrigPoly1.constant(0.0))
+    p = TorusPoint(0.3, 0.2)
+    assert fundamental_matrix(zero, p, 0.0, 0).n == 0
+    # a = 1.2 + 0.5 cos(2 pi y) from y_1 = 0.1: a_1, a_2 >= 1 > a_3
+    dip = dataclasses.replace(tame_model, a=TrigPoly1(((0, 1.2, 0.0), (1, 0.5, 0.0))))
+    q = TorusPoint(0.3, mod1(0.1 - dip.omega))
+    for f in (fundamental_matrix, fundamental_matrix_a):
+        with pytest.raises(ModelAdmissionError, match="step 1$"):
+            f(zero, p, 0.0, 1)
+        f(dip, q, 0.0, 1)
+        with pytest.raises(ModelAdmissionError, match="step 2$"):
+            f(dip, q, 0.0, 2)
 
 
 def test_unimodular_normalization(tame_model):

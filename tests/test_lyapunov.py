@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from skewshift import lyapunov
 from skewshift.cocycle import batched_log_norms, fundamental_matrix
 from skewshift.lyapunov import (
     KINDS,
     BudgetError,
     LyapunovEstimate,
     Sampler,
+    _shifted,
     almost_invariance_defect,
     counter_uniform,
     log_norm_sweep,
@@ -19,6 +21,7 @@ from skewshift.lyapunov import (
     sample_log_norms,
     subadditivity_check,
 )
+from skewshift.model import TrigPoly1, TrigPoly2
 from skewshift.torus import TorusPoint
 
 from conftest import constant_model, make_model
@@ -131,22 +134,37 @@ def test_all_kinds_consistent(tame_model):
     assert abs(out["unimodular"].value - out["plain"].value) < 0.05
 
 
-def test_sweep_matches_separate_sweeps_across_chunks(tame_model):
-    # 129 x 128 points span two chunks; every scale and kind of the one
-    # checkpointed pass equals an unchunked sweep that stops at that scale
-    s = Sampler.grid(129, 128)
-    x, y = s.points()
+def test_sweep_matches_separate_sweeps_across_chunks(tame_model, monkeypatch):
+    # every scale and kind of one chunked, checkpointed pass equals an
+    # unchunked sweep of the ravelled (and shifted) points that stops there
+    # at that scale, whether a grid goes to the kernel as axes or not
     keys = {"plain": "log_norm", "unimodular": "log_norm_u",
             "a_normalized": "log_norm_a"}
-    for threads in (1, 2):
-        out = log_norm_sweep(tame_model, 0.2, [5, 0, 2, 5], s, KINDS,
-                             threads=threads)
-        assert sorted(out) == [0, 2, 5]
-        for n in (2, 5):
-            sep = batched_log_norms(tame_model, x, y, 0.2, n)
-            for kind in KINDS:
-                assert np.array_equal(out[n][kind], sep[keys[kind]] / n)
-        assert np.array_equal(out[0]["plain"], np.zeros(s.total))
+    # a and v both depend on y; a zero frequency and a zero coefficient
+    y_model = make_model(
+        a=TrigPoly1(((0, 1.5, 0.0), (1, 0.3, 0.1), (2, 0.0, 0.0))),
+        v=TrigPoly2(((1, 1, 0.5, 0.0, 0.0, 0.3), (0, 2, 0.2, 0.7, 0.0, 0.0),
+                     (1, 0, 0.0, 0.0, 0.4, 0.0))))
+    cases = [  # (model, sampler, chunk, shift)
+        (tame_model, Sampler.grid(129, 128), 16384, 0),  # two chunks of rows
+        (tame_model, Sampler.grid(9, 5), 12, 0),   # gy does not divide the chunk
+        (y_model, Sampler.grid(4, 9), 7, 3),       # gy > chunk: a row per chunk
+        (y_model, Sampler.grid(9, 5), 12, 2),
+        (y_model, Sampler.monte_carlo(50, 3), 16, 1),
+    ]
+    for m, s, chunk, shift in cases:
+        monkeypatch.setattr(lyapunov, "_CHUNK", chunk)
+        x, y = _shifted(*s.points(), shift, m.omega)
+        for threads in (1, 2):
+            out = log_norm_sweep(m, 0.2, [5, 0, 2, 5], s, KINDS, shift=shift,
+                                 threads=threads)
+            assert sorted(out) == [0, 2, 5]
+            for n in (0, 2, 5):
+                sep = batched_log_norms(m, x, y, 0.2, n)
+                for kind in KINDS:
+                    want = sep[keys[kind]] / n if n else sep[keys[kind]]
+                    assert np.array_equal(out[n][kind], want), (s, shift, n, kind)
+            assert np.array_equal(out[0]["plain"], np.zeros(s.total))
 
 
 def test_sweep_budget_checked_before_points(tame_model):

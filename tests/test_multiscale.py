@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from skewshift import multiscale
+from skewshift.deviation import deviation_measure
 from skewshift.lyapunov import BudgetError, Sampler, lyapunov_finite
 from skewshift.model import default_theorem_model, model_from_dict, model_to_dict, save_model
 from skewshift.multiscale import (
@@ -13,6 +15,7 @@ from skewshift.multiscale import (
     arithmetic_hypothesis,
     continuity_probe,
     induction_step,
+    induction_steps,
     resolve_config,
     scale_schedule,
     theorem_mode_run,
@@ -88,6 +91,42 @@ def test_induction_repeated_scale_matches_separate(theorem_model):
     got = [rec.L_n_u, rec.L_2n_u, rec.L_N_u, rec.L_2N_u]
     for est, n in zip(got, (2, 4, 4, 8)):
         assert est == lyapunov_finite(theorem_model, 0.0, n, g, "unimodular")
+
+
+def test_induction_steps_match_per_pair_steps(theorem_model):
+    # pairs sharing n read every scale from one sweep and share the
+    # deviation measurements, with the records of separate calls
+    g = Sampler.grid(8)
+    recs = induction_steps(theorem_model, 0.0, [(3, 9), (3, 18)], 0.5, g)
+    assert [r.to_json() for r in recs] == [
+        induction_step(theorem_model, 0.0, n, N, 0.5, g).to_json()
+        for n, N in ((3, 9), (3, 18))]
+    thr = 0.5 * recs[0].S / 10.0
+    for rec in recs:
+        for est, dev, k in ((rec.L_n_u, rec.hyp_ldt_n, 3), (rec.L_2n_u, rec.hyp_ldt_2n, 6)):
+            assert est == lyapunov_finite(theorem_model, 0.0, k, g, "unimodular")
+            assert dev == deviation_measure(theorem_model, 0.0, k, thr, g,
+                                            kind="unimodular", reference=est)
+
+
+def test_induction_steps_budget_is_one_sweep(theorem_model):
+    g = Sampler.grid(8)
+    cost = g.total * 36  # the largest 2N
+    with pytest.raises(BudgetError):
+        induction_steps(theorem_model, 0.0, [(3, 9), (3, 18)], 0.5, g,
+                        budget=cost - 1)
+    assert len(induction_steps(theorem_model, 0.0, [(3, 9), (3, 18)], 0.5, g,
+                               budget=cost)) == 2
+
+
+def test_induction_steps_validate_before_sweep(theorem_model, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before validating the pairs")
+
+    monkeypatch.setattr(multiscale, "lyapunov_estimates", no_sweep)
+    with pytest.raises(ValueError):
+        induction_steps(theorem_model, 0.0, [(3, 9), (10, 50)], 0.5,
+                        Sampler.grid(8))
 
 
 def test_induction_requires_square(theorem_model):
