@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import JacobiModel, ModelAdmissionError
-from .torus import TorusPoint, mod1, mod1_array
+from .torus import TorusPoint, mod1, orbit_phases
 
 _RESCALE = 1e100
 _LOG_RESCALE = math.log(_RESCALE)
 _A_FLOOR = 1.0 - 1e-9
+_BLOCK = 16384  # elements per block of the batched sweep
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -407,6 +408,24 @@ def wronskian(m: JacobiModel, base: TorusPoint, phi: DifferenceSolution,
     return a_n1 * (psi.value(n) * phi.value(n + 1) - phi.value(n) * psi.value(n + 1))
 
 
+def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., added left to right as a loop of
+    `total += row` adds them.
+
+    A block with at least as many rows as a row has elements is summed by
+    np.add.accumulate, which adds sequentially like the loop (np.sum and
+    np.add.reduce may add pairwise, which changes the bits) without paying
+    numpy's per-call cost on every row; wider rows keep the loop, where
+    accumulate's strided inner loop would cost more.
+    """
+    if len(rows) > 1 and len(rows) >= rows[0].size:
+        return np.add.accumulate(np.concatenate((total[None], rows)), axis=0)[-1]
+    total = total + rows[0]
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 def batched_log_norm_checkpoints(
     m: JacobiModel,
     x: np.ndarray,
@@ -431,6 +450,14 @@ def batched_log_norm_checkpoints(
     sample the same operands in the same order, so the values are bitwise
     those of the ravelled points.  Maps each checkpoint n to arrays
     log_norm, log_norm_u, log_norm_a, log_det, ravelled in C (x-major) order.
+
+    Steps run in blocks of max(1, _BLOCK // samples) steps, cut at every
+    checkpoint.  One vectorized pass per block computes the phases, a_{j+1},
+    log|a_{j+1}| and lam*v_j - E of all its steps (the next block's phases
+    are computed one block ahead, so its first a_j is evaluated once); only
+    the 2x2 update and its renormalization run step by step, and the log
+    sums are added in step order (`_running_total`).  Every value is the
+    one a step-by-step sweep gives, whatever the block length.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
@@ -438,60 +465,83 @@ def batched_log_norm_checkpoints(
     checkpoints = [int(n) for n in checkpoints]
     if checkpoints != sorted(checkpoints) or (checkpoints and checkpoints[0] < 0):
         raise ValueError("checkpoints must be nonnegative and ascending")
+    # equal ranks, so that a block stacks its steps on a leading axis
+    x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+    y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
     lam, omega = m.lam, m.omega
+    block = max(1, _BLOCK // max(1, math.prod(shape)))
+    spans, done = [], 0  # blocks of steps j0 <= j < j1
+    for n in checkpoints:
+        spans += [(j0, min(j0 + block, n + 1)) for j0 in range(done + 1, n + 1, block)]
+        done = n
+
+    def phases(j0, j1):
+        steps = np.arange(j0, j1).reshape((-1,) + (1,) * len(shape))
+        return orbit_phases(x, y, steps, omega)
+
     r = math.sqrt(2.0)
-    m00 = np.full(shape, 1.0 / r)
-    m01 = np.zeros(shape)
-    m10 = np.zeros(shape)
-    m11 = np.full(shape, 1.0 / r)
+    u = np.zeros((4,) + shape)  # the unit part m00, m01, m10, m11
+    u[0] = u[3] = 1.0 / r
     log_scale = np.full(shape, math.log(r))
     sum_log_a_next = np.zeros(y.shape)   # sum_j log|a_{j+1}|
     log_det = np.zeros(y.shape)          # accumulates log|a_j| - log|a_{j+1}|
-    y_next = None  # the previous step's y_{j+1}, which is this step's y_j
-    a_j = None
-    log_a_j = None
+    # u is updated in place and the scratch rows are preallocated: a working
+    # set that outgrows the cache costs more at wide blocks than it saves
+    sq = np.empty_like(u)
+    prod = sq[:2]
+    inv = np.empty(shape)
+    u_top, u_bottom = u[:2], u[2:]
+    sq0, sq1, sq2, sq3 = sq
     out = {}
-    done = 0
-    for n in checkpoints:
-        for j in range(done + 1, n + 1):
-            if a_j is None:
-                y_next = mod1_array(y + j * omega)
-                a_j = m.a(y_next)
-                log_a_j = np.log(np.abs(a_j))
-            xj = mod1_array(x + j * y + (j * (j - 1) // 2) * omega)
-            yj = y_next
-            y_next = mod1_array(y + (j + 1) * omega)
-            a_next = m.a(y_next)
-            log_a_next = np.log(np.abs(a_next))
-            d = lam * m.v(xj, yj) - E
-            t00 = d * m00 - a_j * m10
-            t01 = d * m01 - a_j * m11
-            t10 = a_next * m00
-            t11 = a_next * m01
-            fro = np.sqrt(t00 * t00 + t01 * t01 + t10 * t10 + t11 * t11)
-            inv = 1.0 / fro
-            m00, m01, m10, m11 = t00 * inv, t01 * inv, t10 * inv, t11 * inv
-            log_scale += np.log(fro)
-            sum_log_a_next += log_a_next
-            log_det += log_a_j - log_a_next
-            a_j, log_a_j = a_next, log_a_next
-        done = n
-        if n == 0:
-            z = np.zeros(math.prod(shape))
-            out[0] = {"log_norm": z, "log_norm_u": z.copy(),
-                      "log_norm_a": z.copy(), "log_det": z.copy()}
-            continue
-        det_u = m00 * m11 - m01 * m10
-        disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
-        log_unit_norm = 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
-        log_norm_a = log_scale + log_unit_norm
-        log_norm = log_norm_a - sum_log_a_next
-        out[n] = {
-            "log_norm": log_norm.ravel(),
-            "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
-            "log_norm_a": log_norm_a.ravel(),
-            "log_det": np.broadcast_to(log_det, shape).flatten(),
-        }
+    if 0 in checkpoints:
+        z = np.zeros(math.prod(shape))
+        out[0] = {"log_norm": z, "log_norm_u": z.copy(), "log_norm_a": z.copy(),
+                  "log_det": z.copy()}
+    if spans:
+        xj, yj = phases(*spans[0])
+        a_j = m.a(yj[0])
+        log_a_j = np.log(np.abs(a_j))
+    for i, (j0, j1) in enumerate(spans):
+        x_ahead, y_ahead = phases(*spans[i + 1]) if i + 1 < len(spans) else phases(j1, j1 + 1)
+        a_next = m.a(np.concatenate((yj[1:], y_ahead[:1])))  # a_{j+1}, j0 <= j < j1
+        d = lam * m.v(xj, yj) - E
+        fro = np.empty(d.shape)
+        for d_j, a_j1, f in zip(d, a_next, fro):
+            # u <- A'_j u = [[d_j m00 - a_j m10, d_j m01 - a_j m11],
+            #                [a_{j+1} m00,       a_{j+1} m01]]
+            np.multiply(a_j, u_bottom, out=prod)
+            np.multiply(a_j1, u_top, out=u_bottom)
+            np.multiply(d_j, u_top, out=u_top)
+            np.subtract(u_top, prod, out=u_top)
+            np.multiply(u, u, out=sq)
+            np.add(sq0, sq1, out=f)
+            f += sq2
+            f += sq3
+            np.sqrt(f, out=f)
+            np.divide(1.0, f, out=inv)
+            np.multiply(u, inv, out=u)
+            a_j = a_j1
+        log_scale = _running_total(log_scale, np.log(fro))
+        log_a_next = np.log(np.abs(a_next))
+        log_det = _running_total(
+            log_det, np.concatenate((log_a_j[None], log_a_next[:-1])) - log_a_next)
+        log_a_j = log_a_next[-1]
+        sum_log_a_next = _running_total(sum_log_a_next, log_a_next)
+        xj, yj = x_ahead, y_ahead
+        n = j1 - 1
+        if n in checkpoints:
+            m00, m01, m10, m11 = u
+            det_u = m00 * m11 - m01 * m10
+            disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
+            log_unit_norm = 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
+            log_norm_a = log_scale + log_unit_norm
+            log_norm = log_norm_a - sum_log_a_next
+            out[n] = {
+                "log_norm": log_norm.ravel(),
+                "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
+                "log_norm_a": log_norm_a.ravel(),
+                "log_det": np.broadcast_to(log_det, shape).flatten(),
+            }
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import _LOG_RESCALE, _RESCALE
+from .cocycle import _BLOCK, _LOG_RESCALE, _RESCALE, _running_total
 from .lyapunov import (  # noqa: F401 (sample_log_norms re-exported)
     DEFAULT_WORK_BUDGET,
     LyapunovEstimate,
@@ -25,7 +25,7 @@ from .lyapunov import (  # noqa: F401 (sample_log_norms re-exported)
     sample_log_norms,
 )
 from .model import JacobiModel, TrigPoly2
-from .torus import mod1_array
+from .torus import orbit_phases
 
 CASE2_BOUND = 8.0 + 2.0 * math.log(2.0)
 REFERENCE_GRID = Sampler.grid(128)  # default reference sampler of deviation_measure
@@ -125,7 +125,13 @@ def _orbit_scan(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float, n: int) 
     """One vectorized sweep along the orbit collecting the large-disorder
     diagnostics: Birkhoff sums of log|v_j - E/lam|, the diagonal
     determinant, the worst |v_j - E/lam|, and log|f_n| by the three-term
-    recurrence."""
+    recurrence.
+
+    Like the batched cocycle kernel, it runs in blocks of steps: the phases,
+    a_j, v_j and the logs of a block come from one vectorized pass and are
+    summed in step order; only the f-recurrence and its rescale run step by
+    step.
+    """
     lam, omega = m.lam, m.omega
     B = x.size
     shift = E / lam if lam > 0 else math.inf
@@ -135,25 +141,27 @@ def _orbit_scan(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float, n: int) 
     f_prev = np.zeros(B)
     f_cur = np.ones(B)
     offset = np.zeros(B)
-    for j in range(1, n + 1):
-        yj = mod1_array(y + j * omega)
-        xj = mod1_array(x + j * y + (j * (j - 1) // 2) * omega)
+    block = max(1, _BLOCK // max(1, B))
+    for j0 in range(1, n + 1, block):
+        steps = np.arange(j0, min(j0 + block, n + 1))[:, None]
+        xj, yj = orbit_phases(x, y, steps, omega)
         vj = m.v(xj, yj)
         aj = m.a(yj)
         d = lam * vj - E
-        log_det_diag += np.log(np.abs(d))
+        log_det_diag = _running_total(log_det_diag, np.log(np.abs(d)))
         if lam > 0:
             w = np.abs(vj - shift)
-            birkhoff += np.log(w)
-            np.minimum(min_abs, w, out=min_abs)
-        f_next = d * f_cur - aj * aj * f_prev
-        f_prev, f_cur = f_cur, f_next
-        mag = np.maximum(np.abs(f_prev), np.abs(f_cur))
-        big = mag > _RESCALE
-        if big.any():
-            f_prev[big] /= _RESCALE
-            f_cur[big] /= _RESCALE
-            offset[big] += _LOG_RESCALE
+            birkhoff = _running_total(birkhoff, np.log(w))
+            np.minimum(min_abs, w.min(axis=0), out=min_abs)
+        for d_j, a2_j in zip(d, aj * aj):
+            f_next = d_j * f_cur - a2_j * f_prev
+            f_prev, f_cur = f_cur, f_next
+            mag = np.maximum(np.abs(f_prev), np.abs(f_cur))
+            big = mag > _RESCALE
+            if big.any():
+                f_prev[big] /= _RESCALE
+                f_cur[big] /= _RESCALE
+                offset[big] += _LOG_RESCALE
     with np.errstate(divide="ignore"):
         log_f = np.log(np.abs(f_cur)) + offset
     return {

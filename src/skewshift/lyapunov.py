@@ -17,7 +17,7 @@ import numpy as np
 # batched_log_norms is re-exported: callers import and patch it from here
 from .cocycle import batched_log_norm_checkpoints, batched_log_norms  # noqa: F401
 from .model import JacobiModel
-from .torus import mod1_array
+from .torus import orbit_phases
 
 DEFAULT_WORK_BUDGET = 10_000_000_000  # matrix multiplications per job
 _CHUNK = 16384  # fixed chunk size keeps reductions independent of threads
@@ -159,12 +159,7 @@ def env_threads() -> int | None:
 
 
 def _shifted(x: np.ndarray, y: np.ndarray, shift: int, omega: float):
-    if shift == 0:
-        return x, y
-    k = shift
-    xs = mod1_array(x + k * y + (k * (k - 1) // 2) * omega)
-    ys = mod1_array(y + k * omega)
-    return xs, ys
+    return (x, y) if shift == 0 else orbit_phases(x, y, shift, omega)
 
 
 def log_norm_sweep(
@@ -230,11 +225,12 @@ def sample_log_norms(
     kind: str = "plain",
     shift: int = 0,
     threads: int | None = None,
+    budget: float = DEFAULT_WORK_BUDGET,
 ) -> np.ndarray:
     """Per-sample values of (1/n) log||M_n|| for the requested normalization:
     the one-scale view of `log_norm_sweep`."""
     return log_norm_sweep(m, E, [n], sampler, (kind,), shift=shift,
-                          threads=threads)[n][kind]
+                          budget=budget, threads=threads)[n][kind]
 
 
 def lyapunov_estimates(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from skewshift import cocycle
 from skewshift.cocycle import (
     CocycleProduct,
     LogScaledMatrix,
@@ -21,7 +22,14 @@ from skewshift.cocycle import (
     transfer_matrix,
     wronskian,
 )
-from skewshift.model import ModelAdmissionError, TrigPoly1, model_from_dict, model_to_dict
+from skewshift.lyapunov import Sampler
+from skewshift.model import (
+    ModelAdmissionError,
+    TrigPoly1,
+    TrigPoly2,
+    model_from_dict,
+    model_to_dict,
+)
 from skewshift.torus import TorusPoint, mod1, skew_shift_iterate
 
 from conftest import constant_model, dense_product, make_model, random_points, tridiag_det
@@ -290,6 +298,111 @@ def test_checkpoints_match_separate_sweeps(theorem_model, tame_model):
             for key in ("log_norm", "log_norm_u", "log_norm_a", "log_det"):
                 assert np.array_equal(got[key], want[key]), (n, key)
     assert np.array_equal(out[0]["log_norm"], np.zeros(17))
+
+
+def _textbook_sweep(m, x, y, E, checkpoints):
+    """The batched sweep one step at a time, as the kernel ran before it
+    worked in blocks: every step forms its x phase, y_{j+1}, a_{j+1} and v_j
+    (y_j, a_j and log|a_j| carried from the step before) and adds each log
+    to its running sum.  The reference the block kernel must match bitwise."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    r = math.sqrt(2.0)
+    m00, m01 = np.full(shape, 1.0 / r), np.zeros(shape)
+    m10, m11 = np.zeros(shape), np.full(shape, 1.0 / r)
+    log_scale = np.full(shape, math.log(r))
+    sum_log_a_next, log_det = np.zeros(y.shape), np.zeros(y.shape)
+    y_next = np.mod(y + m.omega, 1.0)
+    a_next = m.a(y_next)
+    log_a_next = np.log(np.abs(a_next))
+    out, j = {}, 0
+    for n in checkpoints:
+        while j < n:
+            j += 1
+            xj = np.mod(x + j * y + (j * (j - 1) // 2) * m.omega, 1.0)
+            yj, a_j, log_a_j = y_next, a_next, log_a_next
+            y_next = np.mod(y + (j + 1) * m.omega, 1.0)
+            a_next = m.a(y_next)
+            log_a_next = np.log(np.abs(a_next))
+            d = m.lam * m.v(xj, yj) - E
+            t00 = d * m00 - a_j * m10
+            t01 = d * m01 - a_j * m11
+            t10 = a_next * m00
+            t11 = a_next * m01
+            fro = np.sqrt(t00 * t00 + t01 * t01 + t10 * t10 + t11 * t11)
+            inv = 1.0 / fro
+            m00, m01, m10, m11 = t00 * inv, t01 * inv, t10 * inv, t11 * inv
+            log_scale += np.log(fro)
+            sum_log_a_next += log_a_next
+            log_det += log_a_j - log_a_next
+        if n == 0:
+            z = np.zeros(math.prod(shape))
+            out[0] = {"log_norm": z, "log_norm_u": z, "log_norm_a": z, "log_det": z}
+            continue
+        det_u = m00 * m11 - m01 * m10
+        disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
+        log_norm_a = log_scale + 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
+        log_norm = log_norm_a - sum_log_a_next
+        out[n] = {"log_norm": log_norm.ravel(),
+                  "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
+                  "log_norm_a": log_norm_a.ravel(),
+                  "log_det": np.broadcast_to(log_det, shape).flatten()}
+    return out
+
+
+def _y_dependent_model():
+    # a and v depend on y, with zero-frequency and zero-coefficient terms
+    a = TrigPoly1(((0, 1.5, 0.0), (1, 0.3, 0.1), (2, 0.0, 0.05), (3, 0.0, 0.0)))
+    v = TrigPoly2(((1, 0, 1.0, 0.0, 0.0, 0.0), (1, 1, 0.3, 0.2, 0.0, 0.1),
+                   (0, 2, 0.0, 0.4, 0.0, 0.0), (0, 0, 0.25, 0.0, 0.0, 0.0),
+                   (2, 1, 0.0, 0.0, 0.0, 0.0)))
+    return make_model(lam=3.0, a=a, v=v)
+
+
+def _block_checkpoints(width):
+    # read-outs at 0, 1, T, T + 1 and 3T - 1 cross block edges for every
+    # block length T tried (T = 1 included)
+    out = {}
+    for block in (1, 2, 3, 7, cocycle._BLOCK):
+        t = max(1, block // width)
+        out[block] = sorted({0, 1, t, t + 1, 3 * t - 1})
+    return out
+
+
+def _assert_matches_textbook(m, x, y, monkeypatch, widths=(None,)):
+    """The kernel at every block length against one textbook sweep; a width
+    w compares the first w samples of 1-D inputs (values are per sample)."""
+    sizes = {w: np.broadcast(x[:w], y[:w]).size for w in widths}
+    wanted = {w: _block_checkpoints(size) for w, size in sizes.items()}
+    union = sorted({n for cps in wanted.values() for ns in cps.values() for n in ns})
+    want = _textbook_sweep(m, x, y, 0.35, union)
+    for w, by_block in wanted.items():
+        for block, cps in by_block.items():
+            monkeypatch.setattr(cocycle, "_BLOCK", block)
+            got = batched_log_norm_checkpoints(m, x[:w], y[:w], 0.35, cps)
+            assert list(got) == cps
+            for n in cps:
+                for key, val in got[n].items():
+                    assert val.tobytes() == want[n][key][:sizes[w]].tobytes(), \
+                        (w, block, n, key)
+
+
+def test_block_sweep_bitwise_textbook_narrow(theorem_model, monkeypatch):
+    # widths 1, 2 and 5 share one textbook sweep over five samples
+    rng = np.random.default_rng(31)
+    x, y = rng.random(5), rng.random(5)
+    _assert_matches_textbook(theorem_model, x, y, monkeypatch, widths=(1, 2, 5))
+
+
+def test_block_sweep_bitwise_textbook_wide(theorem_model, monkeypatch):
+    gx, gy = Sampler.grid(4, 6).axes()
+    inputs = [Sampler.monte_carlo(40, 3).points(),   # MC points
+              (gx, gy),                               # grid axes, x of shape (R, 1)
+              (np.mod(gx + 0.3 * gy, 1.0), gy)]       # x of shape (R, C)
+    for m in (theorem_model, _y_dependent_model()):
+        for x, y in inputs:
+            _assert_matches_textbook(m, x, y, monkeypatch)
 
 
 def test_checkpoints_must_ascend(tame_model):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skewshift import deviation
 from skewshift.deviation import (
     CASE2_BOUND,
     DeviationError,
@@ -105,6 +106,21 @@ def test_initial_scale_budget_refusal(theorem_model):
     # the orbit scan is refused before 1e12 points are generated
     with pytest.raises(BudgetError):
         initial_scale_check(m, 0.0, 10, Sampler.monte_carlo(10**12, 0), budget=1e6)
+
+
+def test_orbit_scan_independent_of_block(theorem_model, monkeypatch):
+    # one-step blocks are the step-by-step scan; blocks of 3, 7 and the
+    # default length (cut short at n) give the same bits, rescales included
+    rng = np.random.default_rng(4)
+    x, y = rng.random(5), rng.random(5)
+    scans = []
+    for block in (5, 15, 35, deviation._BLOCK):
+        monkeypatch.setattr(deviation, "_BLOCK", block)
+        scans.append(deviation._orbit_scan(theorem_model, x, y, 0.3e6, 40))
+    for scan in scans[1:]:
+        for key, val in scan.items():
+            assert val.tobytes() == scans[0][key].tobytes(), key
+    assert np.all(np.isfinite(scans[0]["log_f"]))
 
 
 def test_initial_scale_requires_large_lambda(tame_model):

@@ -174,6 +174,16 @@ def test_sweep_budget_checked_before_points(tame_model):
                        budget=1e6)
 
 
+def test_sample_log_norms_budget(tame_model):
+    # one scale at each point: the job costs points x n matrix steps
+    s, n = Sampler.monte_carlo(30, 4), 7
+    with pytest.raises(BudgetError) as ei:
+        sample_log_norms(tame_model, 0.1, n, s, budget=30 * n - 1)
+    assert ei.value.cost == 30 * n
+    got = sample_log_norms(tame_model, 0.1, n, s, budget=30 * n)
+    assert np.array_equal(got, sample_log_norms(tame_model, 0.1, n, s))
+
+
 def test_threads_env_malformed(tame_model, monkeypatch):
     monkeypatch.setenv("SKEWSHIFT_THREADS", "two")
     with pytest.raises(ValueError, match="SKEWSHIFT_THREADS"):
