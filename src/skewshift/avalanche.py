@@ -17,9 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocycleProduct, LogScaledMatrix, fundamental_matrix, normalize_unimodular
+from .cocycle import LogScaledMatrix, normalize_unimodular, orbit_product
+# fundamental_matrix and skew_shift_iterate stay in this namespace, where
+# perfbench/tracing.py looks them up
+from .cocycle import fundamental_matrix  # noqa: F401
 from .model import JacobiModel
-from .torus import TorusPoint, skew_shift_iterate
+from .torus import TorusPoint, exact_orbit_phases, skew_shift_iterate  # noqa: F401
 
 DEFAULT_C = 20.0
 _DET_TOL = 1e-12
@@ -140,13 +143,17 @@ def avalanche_check(matrices, mu: float | None = None, C: float = DEFAULT_C,
 
 def cocycle_blocks(m: JacobiModel, base: TorusPoint, E: float, n: int,
                    count: int) -> list[LogScaledMatrix]:
-    """Unimodular n-step blocks M_n^u at base points shifted by T^{(j-1)n}."""
-    blocks = []
-    for j in range(count):
-        p = skew_shift_iterate(base, j * n, m.omega)
-        c: CocycleProduct = fundamental_matrix(m, p, E, n)
-        blocks.append(normalize_unimodular(c).m)
-    return blocks
+    """Unimodular n-step blocks M_n^u at base points shifted by T^{(j-1)n}.
+
+    The block starts T^{(j-1)n}(base) come from `exact_orbit_phases`, and
+    one `orbit_product` call sweeps all blocks together, so the blocks lie
+    on the orbit of the full product M_{count n}(base).  Raises
+    ModelAdmissionError as `fundamental_matrix` does, with the step counted
+    within the first block that meets |a| < 1.
+    """
+    x, y = exact_orbit_phases(base.x, base.y, np.arange(count) * n, m.omega)
+    p = orbit_product(m, x, y, E, n)
+    return [normalize_unimodular(p.cocycle(j)).m for j in range(count)]
 
 
 def avalanche_on_cocycle(

@@ -19,12 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import JacobiModel, ModelAdmissionError
-from .torus import TorusPoint, mod1, orbit_phases
+from .torus import TorusPoint, exact_orbit_phases, orbit_phases
 
 _RESCALE = 1e100
 _LOG_RESCALE = math.log(_RESCALE)
 _A_FLOOR = 1.0 - 1e-9
 _BLOCK = 16384  # elements per block of the batched sweep
+# steps per segment of `orbit_product`: the kernel forms a segment's phases
+# by the float closed form from its exact start, and at j <= 128 the phase
+# j(j-1)/2 * omega stays below 2^13, so its two roundings and the rounding
+# of j*y keep every in-segment phase within 1e-12 of the exact one
+_SEGMENT = 128
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -101,105 +106,166 @@ def transfer_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> np.nd
     """The one-step matrix A_n at the base point."""
     if n < 1:
         raise ValueError("n must be positive")
-    from .torus import skew_shift_iterate
-
-    p = skew_shift_iterate(base, n, m.omega)
-    a_n = m.eval_a(p.y)
-    a_n1 = m.eval_a(mod1(p.y + m.omega))
-    d = m.lam * m.eval_v(p) - E
+    a_n, a_n1, d = _one_step(m, base, E, n)
     return np.array([[d / a_n1, -a_n / a_n1], [1.0, 0.0]])
 
 
 def inverse_transfer_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> np.ndarray:
     """A_n^{-1} = (1/a_n) [[0, a_n], [-a_{n+1}, lam*v_n - E]]."""
-    from .torus import _iterate_signed
-
-    p = _iterate_signed(base, n, m.omega)
-    a_n = m.eval_a(p.y)
-    a_n1 = m.eval_a(mod1(p.y + m.omega))
-    d = m.lam * m.eval_v(p) - E
+    a_n, a_n1, d = _one_step(m, base, E, n)
     return (1.0 / a_n) * np.array([[0.0, a_n], [-a_n1, d]])
+
+
+def _one_step(m: JacobiModel, base: TorusPoint, E: float, n: int) -> tuple[float, float, float]:
+    """(a_n, a_{n+1}, lam*v_n - E) at exact phases, for any integer n."""
+    xs, ys = exact_orbit_phases(base.x, base.y, [n, n + 1], m.omega)
+    a_n, a_n1 = (m.a.eval_scalar(float(t)) for t in ys)
+    return a_n, a_n1, m.lam * m.v.eval_scalar(float(xs[0]), float(ys[0])) - E
 
 
 def orbit_values(m: JacobiModel, base: TorusPoint, n: int):
     """(a_vals, v_vals) along the orbit: a_vals[j] = a_j for j = 1..n+1,
     v_vals[j] = v_j for j = 1..n (index 0 unused).
 
-    Points are advanced one skew-shift step at a time so consecutive calls
-    see bitwise-identical a_j values (the determinant identity telescopes).
+    All phases come from one `exact_orbit_phases` call, so a_j depends on j
+    alone and calls of different lengths see bitwise-identical values (the
+    determinant identity telescopes).
     """
+    xs, ys = exact_orbit_phases(base.x, base.y, np.arange(1, n + 2), m.omega)
     a_vals = np.empty(n + 2)
     v_vals = np.empty(n + 1)
     a_vals[0] = v_vals[0] = np.nan
-    x_c, y_c = base.x, base.y
-    omega = m.omega
-    a_eval, v_eval = m.a.eval_scalar, m.v.eval_scalar
-    for j in range(1, n + 1):
-        x_c = mod1(x_c + y_c)
-        y_c = mod1(y_c + omega)
-        a_vals[j] = a_eval(y_c)
-        v_vals[j] = v_eval(x_c, y_c)
-    a_vals[n + 1] = a_eval(mod1(y_c + omega))
+    a_vals[1:] = m.a(ys)
+    v_vals[1:] = m.v(xs[:n], ys[:n])
     return a_vals, v_vals
 
 
-def _product_loop(m: JacobiModel, base: TorusPoint, E: float, n: int, divide: bool) -> CocycleProduct:
-    """Ordered product of A_n...A_1 (divide=True) or A'_n...A'_1, renormalized
-    to unit Frobenius norm after every factor."""
+@dataclass(frozen=True)
+class OrbitProducts:
+    """The un-divided products A'_n ... A'_1 at w base points.
+
+    `unit` (w, 2, 2) has unit Frobenius norm and `log_scale` its log
+    magnitude; `sum_log_a_next` is sum_j log|a_{j+1}| and `log_det` the log
+    determinant of the divided product, log|a_1| - log|a_{n+1}|.  `sign_a`
+    is the sign of prod_j a_{j+1}, sign(a_1)^n, since an admitted `a` has
+    one sign (|a| >= 1 on the whole circle).
+    """
+
+    n: int
+    unit: np.ndarray
+    log_scale: np.ndarray
+    sum_log_a_next: np.ndarray
+    log_det: np.ndarray
+    sign_a: np.ndarray
+
+    def cocycle(self, i: int, divide: bool = True) -> CocycleProduct:
+        """M_n = A'_n ... A'_1 / prod_j a_{j+1} (divide) or A'_n ... A'_1
+        at the i-th base point."""
+        if divide:
+            m = LogScaledMatrix(self.sign_a[i] * self.unit[i],
+                                float(self.log_scale[i] - self.sum_log_a_next[i]))
+            return CocycleProduct(m, float(self.log_det[i]), self.n)
+        m = LogScaledMatrix(self.unit[i], float(self.log_scale[i]))
+        return CocycleProduct(m, float(self.log_det[i] + 2.0 * self.sum_log_a_next[i]), self.n)
+
+
+def orbit_product(m: JacobiModel, x, y, E: float, n: int) -> OrbitProducts:
+    """A'_n ... A'_1 at the base points (x[i], y[i]) from wide kernel sweeps.
+
+    Each orbit is cut into K = ceil(n / _SEGMENT) segments; segment k starts
+    at T^{k _SEGMENT}(x, y), which `exact_orbit_phases` gives exactly, so
+    only the in-segment phases are float closed forms, within 1e-12 of the
+    exact ones.  One call of the batched kernel sweeps the segments of a
+    chunk of max(1, _BLOCK // K) points side by side (all points at once
+    when w <= that), so memory stays O(max(_BLOCK, K)) whatever w and n
+    are; each point's last segment, n - (K-1) _SEGMENT steps long, is read
+    at its own checkpoint.  The segments of each point are then multiplied
+    left to right with Frobenius renormalization, vectorized over points.
+    A point's values do not depend on the chunking, and for n <= _SEGMENT
+    (K = 1) they are bitwise those of `batched_log_norm_checkpoints`.
+
+    A step j whose a_j or a_{j+1} lies below 1 in absolute value raises
+    ModelAdmissionError naming the first such j (of the first point that
+    has one); it is read from the `a` rows the kernel evaluates anyway.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # unit part entries; identity has Frobenius norm sqrt(2)
-    r = math.sqrt(2.0)
-    u00, u01, u10, u11 = 1.0 / r, 0.0, 0.0, 1.0 / r
-    log_scale = math.log(r)
-    log_det = 0.0
-    lam = m.lam
-    omega = m.omega
-    a_eval = m.a.eval_scalar
-    v_eval = m.v.eval_scalar
-    x_c, y_c = base.x, base.y
-    # each step's y_{j+1}, a_{j+1} and log|a_{j+1}| are the next step's y_j,
-    # a_j and log|a_j|; a value is checked against the floor before its log
-    y_next = mod1(y_c + omega)
-    a_next = a_eval(y_next)
-    if n and abs(a_next) < _A_FLOOR:
-        raise ModelAdmissionError("|a| < 1 along the orbit at step 1")
-    log_a_next = math.log(abs(a_next)) if n else 0.0
-    for j in range(1, n + 1):
-        x_c = mod1(x_c + y_c)
-        y_c, a_j, log_a_j = y_next, a_next, log_a_next
-        y_next = mod1(y_c + omega)
-        a_next = a_eval(y_next)
-        if abs(a_next) < _A_FLOOR:
-            raise ModelAdmissionError(f"|a| < 1 along the orbit at step {j}")
-        log_a_next = math.log(abs(a_next))
-        d = lam * v_eval(x_c, y_c) - E
-        if divide:
-            # A_j = [[d/a_{j+1}, -a_j/a_{j+1}], [1, 0]]
-            t00 = (d * u00 - a_j * u10) / a_next
-            t01 = (d * u01 - a_j * u11) / a_next
-            t10, t11 = u00, u01
-            log_det += log_a_j - log_a_next
-        else:
-            t00 = d * u00 - a_j * u10
-            t01 = d * u01 - a_j * u11
-            t10, t11 = a_next * u00, a_next * u01
-            log_det += log_a_j + log_a_next
-        fro = math.sqrt(t00 * t00 + t01 * t01 + t10 * t10 + t11 * t11)
-        u00, u01, u10, u11 = t00 / fro, t01 / fro, t10 / fro, t11 / fro
-        log_scale += math.log(fro)
-    unit = np.array([[u00, u01], [u10, u11]])
-    return CocycleProduct(LogScaledMatrix(unit, log_scale), log_det, n)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    w = x.size
+    seg = _SEGMENT
+    K = max(1, -(-n // seg))
+    last = n - (K - 1) * seg  # steps in each point's last segment
+    cps = sorted({last, seg}) if K > 1 else [last]
+    lengths = np.full(K, seg)
+    lengths[-1] = last
+    starts = np.arange(K) * seg
+    unit = np.empty((w, 2, 2))
+    log_scale, sum_log_a_next, log_det = np.empty(w), np.empty(w), np.empty(w)
+    chunk = max(1, _BLOCK // K)
+    for c0 in range(0, w, chunk):
+        c = min(chunk, w - c0)
+        xs, ys = exact_orbit_phases(x[c0:c0 + c, None], y[c0:c0 + c, None], starts, m.omega)
+        # the state of every segment, as (segments, rows, points)
+        U = np.empty((K, 4, c))
+        S, A, D, B = (np.empty((K, c)) for _ in range(4))
+        # |a| = 0 makes logs of 0 on the way to the admission error below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for cp, *state in _sweep(m, xs.ravel(), ys.ravel(), E, cps, _A_FLOOR):
+                ends = lengths == cp
+                U[ends] = state[0].reshape(4, c, K)[:, :, ends].transpose(2, 0, 1)
+                for dst, src in zip((S, A, D, B), state[1:]):
+                    dst[ends] = src.reshape(c, K)[:, ends].T
+        # a_i of segment k is a_{k seg + i} of the orbit
+        first = np.where(B > 0, B + starts[:, None], np.inf).min(axis=0)
+        if np.isfinite(first).any():
+            a_i = int(first[np.isfinite(first)][0])
+            # a_1 and a_2 enter step 1, a_{j+1} step j
+            raise ModelAdmissionError(f"|a| < 1 along the orbit at step {max(1, a_i - 1)}")
+        # fold: u <- U_k u for k = 1..K-1, u as (2, 2, c) and the columns
+        # (b00, b10) and (b01, b11) of each U_k as (2, 1, c)
+        u = U[0].reshape(2, 2, c).copy()
+        col0, col1 = U[:, [0, 2], None], U[:, [1, 3], None]
+        t, sq = np.empty_like(u), np.empty_like(u)
+        fro = np.empty((K, c))
+        for k in range(1, K):
+            np.multiply(col0[k], u[0], out=t)
+            np.multiply(col1[k], u[1], out=sq)
+            t += sq
+            np.multiply(t, t, out=sq)
+            f = fro[k]
+            np.add(sq[0, 0], sq[0, 1], out=f)
+            f += sq[1, 0]
+            f += sq[1, 1]
+            np.sqrt(f, out=f)
+            np.divide(t, f, out=u)
+        rows = slice(c0, c0 + c)
+        unit[rows] = u.transpose(2, 0, 1)
+        if K == 1:
+            log_scale[rows], sum_log_a_next[rows], log_det[rows] = S[0], A[0], D[0]
+            continue
+        # log magnitudes in fold order: S_0, S_1, log fro_1, S_2, log fro_2, ...
+        steps = np.stack((S[1:], np.log(fro[1:])), axis=1).reshape(2 * (K - 1), c)
+        log_scale[rows] = _running_total(S[0], steps)
+        sum_log_a_next[rows] = _running_total(A[0], A[1:])
+        log_det[rows] = _running_total(D[0], D[1:])
+    sign_a = np.sign(m.a(exact_orbit_phases(x, y, 1, m.omega)[1])) ** (n % 2)
+    return OrbitProducts(n, unit, log_scale, sum_log_a_next, log_det, sign_a)
 
 
 def fundamental_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
-    """M_n = A_n ... A_1 as a log-scaled product (identity at n = 0)."""
-    return _product_loop(m, base, E, n, divide=True)
+    """M_n = A_n ... A_1 as a log-scaled product (identity at n = 0).
+
+    The one-point view of `orbit_product`: exact segment starts, one kernel
+    sweep over the segments, folded left to right.  Raises
+    ModelAdmissionError at the first step that meets |a| < 1.
+    """
+    return orbit_product(m, [base.x], [base.y], E, n).cocycle(0)
 
 
 def fundamental_matrix_a(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
-    """The un-divided product A'_n ... A'_1."""
-    return _product_loop(m, base, E, n, divide=False)
+    """The un-divided product A'_n ... A'_1 (see `fundamental_matrix`)."""
+    return orbit_product(m, [base.x], [base.y], E, n).cocycle(0, divide=False)
 
 
 def normalize_unimodular(c: CocycleProduct) -> CocycleProduct:
@@ -340,8 +406,6 @@ def solve_difference_equation(
         raise ValueError("range must contain sites 0 and 1")
     if max(abs(n_min), abs(n_max)) > 10_000:
         raise ValueError("|n| must be <= 1e4")
-    from .torus import _iterate_signed
-
     size = n_max - n_min + 1
     sign = np.zeros(size)
     log_abs = np.full(size, -np.inf)
@@ -354,18 +418,14 @@ def solve_difference_equation(
             sign[i] = 1.0 if val > 0 else -1.0
             log_abs[i] = math.log(abs(val)) + offset
 
+    # a_k and v_k at every site, from one call of the exact orbit primitive
+    xs, ys = exact_orbit_phases(base.x, base.y, np.arange(n_min, n_max + 1), m.omega)
+    a_all = m.a(ys).tolist()
+    v_all = m.v(xs, ys).tolist()
+
     def coeffs(k: int) -> tuple[float, float, float]:
-        if k >= 0:
-            # forward sites reachable by cheap modular arithmetic
-            yk = mod1(base.y + k * m.omega)
-            xk = mod1(base.x + k * base.y + (k * (k - 1) // 2) * m.omega)
-        else:
-            p = _iterate_signed(base, k, m.omega)
-            xk, yk = p.x, p.y
-        a_k = m.a.eval_scalar(yk)
-        a_k1 = m.a.eval_scalar(mod1(yk + m.omega))
-        v_k = m.v.eval_scalar(xk, yk)
-        return a_k, a_k1, v_k
+        i = k - n_min
+        return a_all[i], a_all[i + 1], v_all[i]
 
     phi0, phi1 = float(initial[0]), float(initial[1])
     store(0, phi0, 0.0)
@@ -404,7 +464,7 @@ def wronskian(m: JacobiModel, base: TorusPoint, phi: DifferenceSolution,
               psi: DifferenceSolution, n: int) -> float:
     """W_n = a_{n+1} (psi(n) phi(n+1) - phi(n) psi(n+1)); constant in n for
     two solutions of the same equation."""
-    a_n1 = m.a.eval_scalar(mod1(base.y + (n + 1) * m.omega))
+    a_n1 = m.a.eval_scalar(float(exact_orbit_phases(base.x, base.y, n + 1, m.omega)[1]))
     return a_n1 * (psi.value(n) * phi.value(n + 1) - phi.value(n) * psi.value(n + 1))
 
 
@@ -426,31 +486,20 @@ def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def batched_log_norm_checkpoints(
-    m: JacobiModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    E: float,
-    checkpoints: list[int],
-) -> dict[int, dict[str, np.ndarray]]:
-    """log||M_n||_2 at many base points and several scales in one pass.
+def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
+           checkpoints: list[int], a_floor: float | None = None):
+    """The batched sweep kernel: yields the raw state at each checkpoint.
 
-    The sweep runs to the largest of the ascending `checkpoints` and reads
-    out every checkpoint on the way, vectorized over samples.  It multiplies
-    the un-divided factors A'_j with per-step Frobenius renormalization; the
-    plain and unimodular log-norms follow by the exact scalar relations
-    M_n = M_n^a / prod a_{j+1} and M^u = M / |det M|^{1/2}.  A checkpoint
-    runs the same elementwise operations as a sweep that stops there, so its
-    values are bitwise those of a separate n-step sweep.
+    Yields (n, u, log_scale, sum_log_a_next, log_det, small_a) once per
+    distinct checkpoint n, in order.  u is the (4, ...) unit part m00, m01,
+    m10, m11 of A'_n ... A'_1, log_scale its log magnitude (both at the
+    broadcast shape); sum_log_a_next = sum_j log|a_{j+1}| and log_det =
+    sum_j log|a_j| - log|a_{j+1}| live at y's shape.  With `a_floor`,
+    small_a (y's shape) holds the first i in 1..n+1 with |a_i| < a_floor, 0
+    if there is none; without it, small_a is None.  The arrays are the
+    sweep's own and change when it resumes: read or copy them first.
 
-    `x` and `y` are equal-length sample lists or broadcastable axes of a
-    product grid, e.g. x of shape (R, 1) or (R, C) and y of shape (1, C).
-    What depends on y alone (the y phases, a_j, log|a_j| and their sums) is
-    computed at y's shape, once per grid column; broadcasting hands every
-    sample the same operands in the same order, so the values are bitwise
-    those of the ravelled points.  Maps each checkpoint n to arrays
-    log_norm, log_norm_u, log_norm_a, log_det, ravelled in C (x-major) order.
-
+    `x` and `y` are equal-rank arrays (see `batched_log_norm_checkpoints`).
     Steps run in blocks of max(1, _BLOCK // samples) steps, cut at every
     checkpoint.  One vectorized pass per block computes the phases, a_{j+1},
     log|a_{j+1}| and lam*v_j - E of all its steps (the next block's phases
@@ -459,15 +508,7 @@ def batched_log_norm_checkpoints(
     sums are added in step order (`_running_total`).  Every value is the
     one a step-by-step sweep gives, whatever the block length.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     shape = np.broadcast_shapes(x.shape, y.shape)
-    checkpoints = [int(n) for n in checkpoints]
-    if checkpoints != sorted(checkpoints) or (checkpoints and checkpoints[0] < 0):
-        raise ValueError("checkpoints must be nonnegative and ascending")
-    # equal ranks, so that a block stacks its steps on a leading axis
-    x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
-    y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
     lam, omega = m.lam, m.omega
     block = max(1, _BLOCK // max(1, math.prod(shape)))
     spans, done = [], 0  # blocks of steps j0 <= j < j1
@@ -485,6 +526,7 @@ def batched_log_norm_checkpoints(
     log_scale = np.full(shape, math.log(r))
     sum_log_a_next = np.zeros(y.shape)   # sum_j log|a_{j+1}|
     log_det = np.zeros(y.shape)          # accumulates log|a_j| - log|a_{j+1}|
+    small_a = None if a_floor is None else np.zeros(y.shape, dtype=np.int64)
     # u is updated in place and the scratch rows are preallocated: a working
     # set that outgrows the cache costs more at wide blocks than it saves
     sq = np.empty_like(u)
@@ -492,18 +534,21 @@ def batched_log_norm_checkpoints(
     inv = np.empty(shape)
     u_top, u_bottom = u[:2], u[2:]
     sq0, sq1, sq2, sq3 = sq
-    out = {}
     if 0 in checkpoints:
-        z = np.zeros(math.prod(shape))
-        out[0] = {"log_norm": z, "log_norm_u": z.copy(), "log_norm_a": z.copy(),
-                  "log_det": z.copy()}
+        yield 0, u, log_scale, sum_log_a_next, log_det, small_a
     if spans:
         xj, yj = phases(*spans[0])
         a_j = m.a(yj[0])
         log_a_j = np.log(np.abs(a_j))
+        if a_floor is not None:
+            small_a[np.abs(a_j) < a_floor] = 1
     for i, (j0, j1) in enumerate(spans):
         x_ahead, y_ahead = phases(*spans[i + 1]) if i + 1 < len(spans) else phases(j1, j1 + 1)
         a_next = m.a(np.concatenate((yj[1:], y_ahead[:1])))  # a_{j+1}, j0 <= j < j1
+        if a_floor is not None:
+            low = np.abs(a_next) < a_floor
+            first = j0 + 1 + np.argmax(low, axis=0)
+            small_a = np.where((small_a == 0) & low.any(axis=0), first, small_a)
         d = lam * m.v(xj, yj) - E
         fro = np.empty(d.shape)
         for d_j, a_j1, f in zip(d, a_next, fro):
@@ -528,20 +573,66 @@ def batched_log_norm_checkpoints(
         log_a_j = log_a_next[-1]
         sum_log_a_next = _running_total(sum_log_a_next, log_a_next)
         xj, yj = x_ahead, y_ahead
-        n = j1 - 1
-        if n in checkpoints:
-            m00, m01, m10, m11 = u
-            det_u = m00 * m11 - m01 * m10
-            disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
-            log_unit_norm = 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
-            log_norm_a = log_scale + log_unit_norm
-            log_norm = log_norm_a - sum_log_a_next
-            out[n] = {
-                "log_norm": log_norm.ravel(),
-                "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
-                "log_norm_a": log_norm_a.ravel(),
-                "log_det": np.broadcast_to(log_det, shape).flatten(),
-            }
+        if j1 - 1 in checkpoints:
+            yield j1 - 1, u, log_scale, sum_log_a_next, log_det, small_a
+
+
+def batched_log_norm_checkpoints(
+    m: JacobiModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    E: float,
+    checkpoints: list[int],
+) -> dict[int, dict[str, np.ndarray]]:
+    """log||M_n||_2 at many base points and several scales in one pass.
+
+    The estimators' kernel.  The sweep (`_sweep`) runs to the largest of the
+    ascending `checkpoints` and reads out every checkpoint on the way,
+    vectorized over samples.  It multiplies the un-divided factors A'_j with
+    per-step Frobenius renormalization; the plain and unimodular log-norms
+    follow by the exact scalar relations M_n = M_n^a / prod a_{j+1} and
+    M^u = M / |det M|^{1/2}.  A checkpoint runs the same elementwise
+    operations as a sweep that stops there, so its values are bitwise those
+    of a separate n-step sweep.  Phases are the float closed form
+    `orbit_phases`, whose error grows like j^2; `batched_log_norms` is the
+    view with exact long-orbit phases.
+
+    `x` and `y` are equal-length sample lists or broadcastable axes of a
+    product grid, e.g. x of shape (R, 1) or (R, C) and y of shape (1, C).
+    What depends on y alone (the y phases, a_j, log|a_j| and their sums) is
+    computed at y's shape, once per grid column; broadcasting hands every
+    sample the same operands in the same order, so the values are bitwise
+    those of the ravelled points.  Maps each checkpoint n to arrays
+    log_norm, log_norm_u, log_norm_a, log_det, ravelled in C (x-major) order.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    checkpoints = [int(n) for n in checkpoints]
+    if checkpoints != sorted(checkpoints) or (checkpoints and checkpoints[0] < 0):
+        raise ValueError("checkpoints must be nonnegative and ascending")
+    # equal ranks, so that a block stacks its steps on a leading axis
+    x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+    y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
+    out = {}
+    for n, u, log_scale, sum_log_a_next, log_det, _ in _sweep(m, x, y, E, checkpoints):
+        if n == 0:
+            z = np.zeros(math.prod(shape))
+            out[0] = {"log_norm": z, "log_norm_u": z.copy(), "log_norm_a": z.copy(),
+                      "log_det": z.copy()}
+            continue
+        m00, m01, m10, m11 = u
+        det_u = m00 * m11 - m01 * m10
+        disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
+        log_unit_norm = 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
+        log_norm_a = log_scale + log_unit_norm
+        log_norm = log_norm_a - sum_log_a_next
+        out[n] = {
+            "log_norm": log_norm.ravel(),
+            "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
+            "log_norm_a": log_norm_a.ravel(),
+            "log_det": np.broadcast_to(log_det, shape).flatten(),
+        }
     return out
 
 
@@ -552,7 +643,26 @@ def batched_log_norms(
     E: float,
     n: int,
 ) -> dict[str, np.ndarray]:
-    """log||M_n||_2 at many base points: the one-checkpoint view of
-    `batched_log_norm_checkpoints`.  Returns arrays log_norm, log_norm_u,
-    log_norm_a, log_det."""
-    return batched_log_norm_checkpoints(m, x, y, E, [n])[n]
+    """log||M_n||_2 at many base points, with exact long-orbit phases.
+
+    Returns arrays log_norm, log_norm_u, log_norm_a, log_det, ravelled as in
+    `batched_log_norm_checkpoints`.  For n <= _SEGMENT this is that kernel's
+    one-checkpoint view, bitwise.  Beyond, the values come from
+    `orbit_product` over the ravelled points (exact segment starts), so the
+    phases stay within 1e-12 of the exact ones at any n, and log_norm at
+    each point is bitwise `fundamental_matrix(...).log_norm` there, and
+    |a| < 1 along an orbit raises ModelAdmissionError as it does there.
+    """
+    if n <= _SEGMENT:
+        return batched_log_norm_checkpoints(m, x, y, E, [n])[n]
+    x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=np.float64)),
+                               np.atleast_1d(np.asarray(y, dtype=np.float64)))
+    p = orbit_product(m, x, y, E, n)
+    log_unit_norm = np.array([math.log(spectral_norm(u)) for u in p.unit])
+    log_norm = (p.log_scale - p.sum_log_a_next) + log_unit_norm
+    return {
+        "log_norm": log_norm,
+        "log_norm_u": log_norm - 0.5 * p.log_det,
+        "log_norm_a": p.log_scale + log_unit_norm,
+        "log_det": p.log_det,
+    }

@@ -38,12 +38,51 @@ def orbit_phases(x, y, j, omega: float):
     e.g. a column of steps for a block of the orbit.  For |j| < 2^53,
     j(j-1)/2 in floats is one rounding of the exact integer (j and j - 1
     are exact, halving is exact), so it equals float(j * (j - 1) // 2).
-    The float error of the phases grows like j^2 (see `skew_shift_iterate`
+    The float error of the phases grows like j^2 (see `exact_orbit_phases`
     for exact phases).
     """
     j = np.asarray(j, dtype=np.float64)
     return (mod1_array(x + j * y + j * (j - 1.0) * 0.5 * omega),
             mod1_array(y + j * omega))
+
+
+_TWO64 = 2.0**64
+
+
+def _q64(z) -> np.ndarray:
+    """z mod 1 as uint64 Q0.64 fixed point, rounded to the nearest 2^-64."""
+    t = np.rint(mod1_array(np.asarray(z, dtype=np.float64)) * _TWO64)
+    return np.where(t < _TWO64, t, 0.0).astype(np.uint64)
+
+
+def exact_orbit_phases(x, y, s, omega: float):
+    """T^s(x, y) mod 1, exact up to the final rounding to floats.
+
+    x, y and omega are carried as uint64 Q0.64 fixed point, where
+    X_s = X + s*Y + s(s-1)/2 * W and Y_s = Y + s*W wrap exactly mod 2^64,
+    i.e. mod 1.  The triangular number is formed by parity, as
+    (s // 2) * (s - 1) for even s and s * (s // 2) for odd s, so the halving
+    happens before the wrap and is not lost to it.  `s` is an integer or an
+    integer array of either sign, |s| <= 2^62, that broadcasts against x
+    and y.  Each phase is X_s / 2^64 rounded to the nearest float (1.0
+    becomes 0.0), which is bitwise `skew_shift_iterate` whenever the inputs
+    are multiples of 2^-64.  Every float in [2^-11, 1), and so every sampler
+    point, is one; a base coordinate below 2^-11 is first rounded to the
+    2^-64 grid.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    X, Y, W = _q64(x), _q64(y), _q64(omega)
+    step = s.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        tri = (s >> 1).astype(np.uint64) * (s - 1 + (s & 1)).astype(np.uint64)
+        xs = X + step * Y + tri * W
+        ys = Y + step * W
+    return _from_q64(xs), _from_q64(ys)
+
+
+def _from_q64(q: np.ndarray) -> np.ndarray:
+    f = q.astype(np.float64) / _TWO64
+    return np.where(f < 1.0, f, 0.0)
 
 
 def circle_dist(x: float) -> float:
@@ -81,7 +120,8 @@ def skew_shift_iterate(p: TorusPoint, k: int, omega: float) -> TorusPoint:
 
     k*y and k(k-1)/2 * omega exceed 2^53 well before k ~ 1e8, so the
     accumulation is done on the exact binary fractions of the float inputs
-    and reduced mod 1 before conversion back to float.
+    and reduced mod 1 before conversion back to float.  At about 45 us a
+    call this is the oracle of `exact_orbit_phases`, which the program uses.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

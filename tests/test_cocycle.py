@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from skewshift.model import (
     model_from_dict,
     model_to_dict,
 )
+from skewshift.avalanche import cocycle_blocks
 from skewshift.torus import TorusPoint, mod1, skew_shift_iterate
 
 from conftest import constant_model, dense_product, make_model, random_points, tridiag_det
@@ -179,6 +181,196 @@ def test_huge_lambda_no_overflow(theorem_model):
     cp = fundamental_matrix(theorem_model, TorusPoint(0.2, 0.3), 0.0, 500)
     assert math.isfinite(cp.log_norm)
     assert cp.log_norm > 500 * 0.5 * math.log(1e6)
+
+
+# ---------------------------------------------------------------- long orbits
+
+
+def _product_loop(m, base, E, checkpoints, divide=True):
+    """Ordered product A_n...A_1 (divide) or A'_n...A'_1 one factor at a
+    time, renormalized to unit Frobenius norm after every factor, read out
+    at each of the ascending `checkpoints`.  The phases step exactly: x, y
+    and omega are integers over 2^64, added mod 2^64, and each phase is
+    rounded to a float once.  The textbook oracle of `orbit_product`."""
+    mask = (1 << 64) - 1
+    X, Y, W = (Fraction(v) * 2**64 for v in (base.x, base.y, m.omega))
+    assert X.denominator == Y.denominator == W.denominator == 1
+    X, Y, W = int(X), int(Y), int(W)
+
+    def phase(q):
+        return (q / 2**64) % 1.0
+
+    r = math.sqrt(2.0)
+    u00, u01, u10, u11 = 1.0 / r, 0.0, 0.0, 1.0 / r
+    log_scale, log_det = math.log(r), 0.0
+    a_eval, v_eval = m.a.eval_scalar, m.v.eval_scalar
+    Y_next = (Y + W) & mask
+    a_next = a_eval(phase(Y_next))
+    out = {}
+    for j in range(1, checkpoints[-1] + 1):
+        X = (X + Y) & mask
+        Y, Y_next = Y_next, (Y_next + W) & mask
+        a_j, a_next = a_next, a_eval(phase(Y_next))
+        d = m.lam * v_eval(phase(X), phase(Y)) - E
+        if divide:
+            t00 = (d * u00 - a_j * u10) / a_next
+            t01 = (d * u01 - a_j * u11) / a_next
+            t10, t11 = u00, u01
+            log_det += math.log(abs(a_j)) - math.log(abs(a_next))
+        else:
+            t00 = d * u00 - a_j * u10
+            t01 = d * u01 - a_j * u11
+            t10, t11 = a_next * u00, a_next * u01
+            log_det += math.log(abs(a_j)) + math.log(abs(a_next))
+        fro = math.sqrt(t00 * t00 + t01 * t01 + t10 * t10 + t11 * t11)
+        u00, u01, u10, u11 = t00 / fro, t01 / fro, t10 / fro, t11 / fro
+        log_scale += math.log(fro)
+        if j in checkpoints:
+            unit = np.array([[u00, u01], [u10, u11]])
+            out[j] = CocycleProduct(LogScaledMatrix(unit, log_scale), log_det, j)
+    return out
+
+
+N_LONG = 2**20  # n0^5 for n0 = 16, the longest scale of the paper's schedule
+LONG_BASES = ((0.31, 0.17), (0.7, 0.42))
+
+
+@pytest.fixture(scope="module")
+def long_oracle(theorem_model):
+    (x0, y0), (x1, y1) = LONG_BASES
+    first = _product_loop(theorem_model, TorusPoint(x0, y0), 0.0, [10**5, N_LONG])
+    return [first, _product_loop(theorem_model, TorusPoint(x1, y1), 0.0, [10**5])]
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def test_long_orbit_agreement_at_n0_to_the_fifth(theorem_model, long_oracle, monkeypatch):
+    # scalar products at two segment lengths, the batched view and the
+    # exact-phase oracle agree at n = 2^20
+    p = TorusPoint(*LONG_BASES[0])
+    want = long_oracle[0][N_LONG]
+    got = [fundamental_matrix(theorem_model, p, 0.0, N_LONG)]
+    b = batched_log_norms(theorem_model, np.array([p.x]), np.array([p.y]), 0.0, N_LONG)
+    monkeypatch.setattr(cocycle, "_SEGMENT", 100)
+    got.append(fundamental_matrix(theorem_model, p, 0.0, N_LONG))
+    for c in got:
+        assert _rel(c.log_norm, want.log_norm) < 1e-9
+        assert abs(c.log_det - want.log_det) < 1e-9
+        assert np.allclose(c.m.unit, want.m.unit, rtol=0.0, atol=1e-9)
+    assert _rel(got[0].log_norm, got[1].log_norm) < 1e-9
+    assert b["log_norm"][0] == got[0].log_norm
+    assert _rel(float(b["log_norm"][0]), want.log_norm) < 1e-9
+
+
+def test_batched_width_two_long_orbit(theorem_model, long_oracle):
+    # the width-2 call at n = 1e5 whose float closed-form phases once drifted
+    xs, ys = (np.array(v) for v in zip(*LONG_BASES))
+    out = batched_log_norms(theorem_model, xs, ys, 0.0, 10**5)
+    for i, oracle in enumerate(long_oracle):
+        want = oracle[10**5]
+        assert _rel(float(out["log_norm"][i]), want.log_norm) < 1e-9
+        assert abs(float(out["log_det"][i]) - want.log_det) < 1e-9
+        assert _rel(float(out["log_norm_u"][i]), normalize_unimodular(want).log_norm) < 1e-9
+
+
+def test_orbit_product_matches_oracle_across_segments(tame_model, monkeypatch):
+    # n = 3 segments + 5 steps; last segment shorter, longer or equal
+    rng = np.random.default_rng(41)
+    for seg in (1, 4, 5, 7):
+        monkeypatch.setattr(cocycle, "_SEGMENT", seg)
+        for p in random_points(rng, 3):
+            n = 3 * seg + 5
+            for divide, f in ((True, fundamental_matrix), (False, fundamental_matrix_a)):
+                want = _product_loop(tame_model, p, 0.3, [n], divide)[n]
+                got = f(tame_model, p, 0.3, n)
+                assert got.log_norm == pytest.approx(want.log_norm, rel=1e-12)
+                assert got.log_det == pytest.approx(want.log_det, rel=1e-12, abs=1e-12)
+                assert np.allclose(got.m.unit, want.m.unit, rtol=0.0, atol=1e-12)
+
+
+def test_negative_a_products(monkeypatch):
+    # a <= -1 everywhere: the divided product carries the sign of
+    # prod a_{j+1} = sign(a)^n, checked on both parities of n across segments
+    m = make_model(a=TrigPoly1(((0, -1.5, 0.0), (1, -0.3, 0.0))))
+    monkeypatch.setattr(cocycle, "_SEGMENT", 6)
+    rng = np.random.default_rng(43)
+    for p in random_points(rng, 4):
+        E = float(rng.normal())
+        for n in (3 * 6 + 5, 3 * 6 + 6):
+            dense = dense_product(m, p, E, n)
+            a_vals, _ = orbit_values(m, p, n)
+            dense_a = dense * np.prod(a_vals[2:n + 2])
+            for got, want in ((fundamental_matrix(m, p, E, n), dense),
+                              (fundamental_matrix_a(m, p, E, n), dense_a)):
+                assert np.allclose(got.m.unit, want / np.linalg.norm(want), rtol=0.0, atol=1e-10)
+                assert got.log_norm == pytest.approx(math.log(np.linalg.norm(want, 2)), rel=1e-12)
+                assert got.log_det == pytest.approx(math.log(abs(np.linalg.det(want))),
+                                                    rel=1e-9, abs=1e-9)
+
+
+def test_product_refuses_small_a_across_segments(tame_model, monkeypatch):
+    # a = 1.099 + 0.1 cos(2 pi y) dips below 1 on 4.5 % of the circle: the
+    # first step that meets it (a_1 and a_2 enter step 1, a_{j+1} step j)
+    # is named whatever segment it falls in
+    dip = dataclasses.replace(tame_model, a=TrigPoly1(((0, 1.099, 0.0), (1, 0.1, 0.0))))
+    rng = np.random.default_rng(47)
+    n, steps = 60, set()
+    for p in random_points(rng, 12):
+        a_vals, _ = orbit_values(dip, p, n)
+        low = np.flatnonzero(np.abs(a_vals[1:]) < 1.0 - 1e-9)
+        for seg in (2, 3, 5, 128):
+            monkeypatch.setattr(cocycle, "_SEGMENT", seg)
+            for f in (fundamental_matrix, fundamental_matrix_a):
+                if low.size == 0:
+                    f(dip, p, 0.0, n)
+                    continue
+                step = max(1, int(low[0]))  # a_vals[1:][i] is a_{i+1}
+                steps.add(step)
+                with pytest.raises(ModelAdmissionError, match=f"step {step}$"):
+                    f(dip, p, 0.0, n)
+    assert len(steps) >= 4  # several segments and offsets were exercised
+
+
+def test_batched_long_view_per_point(theorem_model, monkeypatch):
+    # beyond _SEGMENT the batched view gives each point bitwise its
+    # fundamental_matrix log-norm, however the points are chunked
+    monkeypatch.setattr(cocycle, "_SEGMENT", 8)
+    rng = np.random.default_rng(53)
+    x, y = rng.random(5), rng.random(5)
+    n = 3 * 8 + 5
+    wide = batched_log_norms(theorem_model, x, y, 0.35, n)
+    monkeypatch.setattr(cocycle, "_BLOCK", 7)  # one point per kernel call
+    narrow = batched_log_norms(theorem_model, x, y, 0.35, n)
+    for key in wide:
+        assert wide[key].tobytes() == narrow[key].tobytes(), key
+    for i in range(5):
+        p = TorusPoint(float(x[i]), float(y[i]))
+        cp = fundamental_matrix(theorem_model, p, 0.35, n)
+        ca = fundamental_matrix_a(theorem_model, p, 0.35, n)
+        assert wide["log_norm"][i] == cp.log_norm
+        assert wide["log_det"][i] == cp.log_det
+        assert wide["log_norm_a"][i] == pytest.approx(ca.log_norm, rel=1e-14)
+        assert wide["log_norm_u"][i] == pytest.approx(
+            normalize_unimodular(cp).log_norm, rel=1e-14)
+
+
+def test_cocycle_blocks_lie_on_the_orbit(theorem_model):
+    # block j is bitwise the product at T^{jn}(base) from the rational
+    # closed form, and the blocks multiply to the full product
+    p, n, count = TorusPoint(0.31, 0.17), 300, 5
+    blocks = cocycle_blocks(theorem_model, p, 0.0, n, count)
+    for j, b in enumerate(blocks):
+        q = skew_shift_iterate(p, j * n, theorem_model.omega)
+        want = normalize_unimodular(fundamental_matrix(theorem_model, q, 0.0, n)).m
+        assert b.unit.tobytes() == want.unit.tobytes()
+        assert b.log_scale == want.log_scale
+    full = blocks[0]
+    for b in blocks[1:]:
+        full = b @ full
+    whole = normalize_unimodular(fundamental_matrix(theorem_model, p, 0.0, n * count))
+    assert full.log_norm2 == pytest.approx(whole.log_norm, rel=1e-12)
 
 
 # ---------------------------------------------------------------- f recurrence

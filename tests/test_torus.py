@@ -10,10 +10,12 @@ from skewshift.torus import (
     GOLDEN_MEAN,
     Frequency,
     TorusPoint,
+    _iterate_signed,
     circle_dist,
     continued_fraction,
     convergent,
     diophantine_check,
+    exact_orbit_phases,
     mod1,
     mod1_array,
     orbit_phases,
@@ -56,6 +58,40 @@ def test_orbit_phases_match_integer_closed_form(steps):
         for got in (orbit_phases(x, y, j, GOLDEN_MEAN), (rows[0][i], rows[1][i])):
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+
+# floats that are multiples of 2^-64: every float in [2^-11, 1), 0, and
+# multiples of 2^-53 (Monte Carlo points) and of 2^-64 below 2^-11
+q64 = st.one_of(
+    st.floats(min_value=2.0**-11, max_value=1.0, exclude_max=True),
+    st.integers(0, 2**53 - 1).map(lambda k: k / 2.0**53),
+    st.integers(0, 2**53 - 1).map(lambda k: k / 2.0**64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q64, q64, q64, st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=5))
+def test_exact_orbit_phases_match_fraction_oracle(x, y, omega, steps):
+    # inputs exact in Q0.64: bitwise the rational closed form rounded to
+    # floats, for a scalar step and for a column of steps, either sign
+    column = exact_orbit_phases(np.array([x]), np.array([y]), np.array(steps)[:, None], omega)
+    for i, s in enumerate(steps):
+        want = (skew_shift_iterate if s >= 0 else _iterate_signed)(TorusPoint(x, y), s, omega)
+        for got in (exact_orbit_phases(x, y, s, omega), (column[0][i, 0], column[1][i, 0])):
+            assert (float(got[0]), float(got[1])) == (want.x, want.y)
+            assert not np.signbit(got[0]) and not np.signbit(got[1])
+
+
+def test_exact_orbit_phases_rounding_edges():
+    # a phase within 2^-54 of 1 rounds to 1.0 and wraps to 0.0; a base
+    # coordinate off the 2^-64 grid is rounded onto it first
+    p, omega = TorusPoint(1.0 - 2.0**-53, (2**11 - 1) * 2.0**-64), 2.0**-64
+    x, y = exact_orbit_phases(p.x, p.y, np.array([0, 1, -1]), omega)
+    assert x[1] == 0.0 and y[1] == 2.0**-53  # X_1 = 2^64 - 1
+    for i, s in enumerate((0, 1, -1)):
+        want = _iterate_signed(p, s, omega)
+        assert (x[i], y[i]) == (want.x, want.y)
+    x, y = exact_orbit_phases(2.0**-70, 0.75 * 2.0**-64, 0, GOLDEN_MEAN)
+    assert (float(x), float(y)) == (0.0, 2.0**-64)
 
 
 def test_circle_dist():
