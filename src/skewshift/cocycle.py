@@ -180,7 +180,7 @@ def orbit_product(m: JacobiModel, x, y, E: float, n: int) -> OrbitProducts:
     when w <= that), so memory stays O(max(_BLOCK, K)) whatever w and n
     are; each point's last segment, n - (K-1) _SEGMENT steps long, is read
     at its own checkpoint.  The segments of each point are then multiplied
-    left to right with Frobenius renormalization, vectorized over points.
+    by `_tree_fold` in ceil(log2 K) levels, vectorized over points.
     A point's values do not depend on the chunking, and for n <= _SEGMENT
     (K = 1) they are bitwise those of `batched_log_norm_checkpoints`.
 
@@ -222,31 +222,9 @@ def orbit_product(m: JacobiModel, x, y, E: float, n: int) -> OrbitProducts:
             a_i = int(first[np.isfinite(first)][0])
             # a_1 and a_2 enter step 1, a_{j+1} step j
             raise ModelAdmissionError(f"|a| < 1 along the orbit at step {max(1, a_i - 1)}")
-        # fold: u <- U_k u for k = 1..K-1, u as (2, 2, c) and the columns
-        # (b00, b10) and (b01, b11) of each U_k as (2, 1, c)
-        u = U[0].reshape(2, 2, c).copy()
-        col0, col1 = U[:, [0, 2], None], U[:, [1, 3], None]
-        t, sq = np.empty_like(u), np.empty_like(u)
-        fro = np.empty((K, c))
-        for k in range(1, K):
-            np.multiply(col0[k], u[0], out=t)
-            np.multiply(col1[k], u[1], out=sq)
-            t += sq
-            np.multiply(t, t, out=sq)
-            f = fro[k]
-            np.add(sq[0, 0], sq[0, 1], out=f)
-            f += sq[1, 0]
-            f += sq[1, 1]
-            np.sqrt(f, out=f)
-            np.divide(t, f, out=u)
         rows = slice(c0, c0 + c)
-        unit[rows] = u.transpose(2, 0, 1)
-        if K == 1:
-            log_scale[rows], sum_log_a_next[rows], log_det[rows] = S[0], A[0], D[0]
-            continue
-        # log magnitudes in fold order: S_0, S_1, log fro_1, S_2, log fro_2, ...
-        steps = np.stack((S[1:], np.log(fro[1:])), axis=1).reshape(2 * (K - 1), c)
-        log_scale[rows] = _running_total(S[0], steps)
+        u, log_scale[rows] = _tree_fold(U, S)
+        unit[rows] = u.T.reshape(c, 2, 2)
         sum_log_a_next[rows] = _running_total(A[0], A[1:])
         log_det[rows] = _running_total(D[0], D[1:])
     sign_a = np.sign(m.a(exact_orbit_phases(x, y, 1, m.omega)[1])) ** (n % 2)
@@ -257,7 +235,7 @@ def fundamental_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> Co
     """M_n = A_n ... A_1 as a log-scaled product (identity at n = 0).
 
     The one-point view of `orbit_product`: exact segment starts, one kernel
-    sweep over the segments, folded left to right.  Raises
+    sweep over the segments, folded pairwise.  Raises
     ModelAdmissionError at the first step that meets |a| < 1.
     """
     return orbit_product(m, [base.x], [base.y], E, n).cocycle(0)
@@ -275,96 +253,79 @@ def normalize_unimodular(c: CocycleProduct) -> CocycleProduct:
     return CocycleProduct(c.m.scaled(-0.5 * c.log_det), 0.0, c.n)
 
 
-def _f_sequence(a_vals: np.ndarray, v_vals: np.ndarray, lam: float, E: float, n: int):
-    """Signed-log values of f_0..f_n via the three-term recurrence
-    f_j = (lam*v_j - E) f_{j-1} - a_j^2 f_{j-2}, rescaled to avoid overflow.
+def _f_product(m: JacobiModel, base: TorusPoint, E: float, n: int):
+    """P = F_n ... F_1 with F_j = [[lam*v_j - E, -a_j^2], [1, 0]], n >= 1.
 
-    Returns (signs, log_abs) arrays; an exact zero is marked sign = 0,
-    log_abs = -inf.
+    F_j maps (f_{j-1}, f_{j-2}) to (f_j, f_{j-1}) for the three-term
+    recurrence f_j = (lam*v_j - E) f_{j-1} - a_j^2 f_{j-2}, f_0 = 1,
+    f_{-1} = 0, so P = [[f_n, -a_1^2 f'_{n-1}], [f_{n-1}, -a_1^2 f'_{n-2}]]
+    with f' the recurrence at the shifted base T(x, y) (f'_{-1} = 0).
+    The K = ceil(n / _SEGMENT) segments of the product are stepped side by
+    side with per-step Frobenius renormalization (the last, shorter one is
+    read at its own step) and multiplied by `_tree_fold`.  Returns the
+    (2, 2) unit part, its log scale and `orbit_values`' a_vals.
     """
-    signs = np.zeros(n + 1, dtype=np.int8)
-    logs = np.full(n + 1, -np.inf)
-    f_prev, f_cur = 0.0, 1.0  # f_{-1}, f_0
-    offset = 0.0
-    signs[0], logs[0] = 1, 0.0
-    for j in range(1, n + 1):
-        d = lam * v_vals[j] - E
-        f_next = d * f_cur - a_vals[j] * a_vals[j] * f_prev
-        f_prev, f_cur = f_cur, f_next
-        mag = max(abs(f_prev), abs(f_cur))
-        if mag > _RESCALE:
-            f_prev /= _RESCALE
-            f_cur /= _RESCALE
-            offset += _LOG_RESCALE
-        if f_cur == 0.0:
-            signs[j], logs[j] = 0, -np.inf
-        else:
-            signs[j] = 1 if f_cur > 0 else -1
-            logs[j] = math.log(abs(f_cur)) + offset
-    return signs, logs
+    a_vals, v_vals = orbit_values(m, base, n)
+    seg = _SEGMENT
+    K = -(-n // seg)
+    last = n - (K - 1) * seg
+    # steps past n, never read, are padded with the swap [[0, 1], [1, 0]]
+    d, a_sq = np.zeros(K * seg), np.full(K * seg, -1.0)
+    d[:n] = m.lam * v_vals[1:] - E
+    a_sq[:n] = a_vals[1:n + 1] * a_vals[1:n + 1]
+    d, a_sq = d.reshape(K, seg).T, a_sq.reshape(K, seg).T
+    u = np.zeros((4, K))  # the unit part m00, m01, m10, m11 of each segment
+    u[0] = u[3] = 1.0
+    t, fro = np.empty((2, K)), np.empty((seg, K))
+    U = np.empty((K, 4, 1))
+    for i in range(seg):
+        np.multiply(d[i], u[:2], out=t)
+        t -= a_sq[i] * u[2:]
+        u[2:] = u[:2]
+        u[:2] = t
+        f = fro[i]
+        np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3], out=f)
+        u /= f
+        if i == last - 1:
+            U[-1, :, 0] = u[:, -1]
+    U[:-1, :, 0] = u[:, :-1].T
+    logs = np.log(fro)
+    logs[last:, -1] = 0.0
+    unit, log_scale = _tree_fold(U, logs.sum(axis=0)[:, None])
+    return unit.reshape(2, 2), float(log_scale[0]), a_vals
 
 
 def f_determinant(m: JacobiModel, base: TorusPoint, E: float, n: int) -> tuple[float, int]:
     """(log|f_n|, sign) for the n x n tridiagonal determinant with diagonal
-    lam*v_j - E and off-diagonal -a_j."""
+    lam*v_j - E and off-diagonal -a_j, read from `_f_product`."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 0.0, 1
-    a_vals, v_vals = orbit_values(m, base, n)
-    signs, logs = _f_sequence(a_vals, v_vals, m.lam, E, n)
-    return float(logs[n]), int(signs[n])
+    unit, log_scale, _ = _f_product(m, base, E, n)
+    f = float(unit[0, 0])
+    if f == 0.0:
+        return -math.inf, 0
+    return math.log(abs(f)) + log_scale, 1 if f > 0 else -1
 
 
 def fundamental_matrix_via_f(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
-    """M_n assembled from four f-recurrences and log-sums of the a_j.
+    """M_n assembled from the f-recurrence product P of `_f_product` and
+    log-sums of the a_j.
 
     Entry layout (f' evaluated at the shifted base T(x, y), where
     a'_j = a_{j+1} and v'_j = v_{j+1}):
         [ f_n/prod_{2..n+1} a_j          -(a_1/a_2) f'_{n-1}/prod_{3..n+1} a_j ]
         [ f_{n-1}/prod_{2..n} a_j        -(a_1/a_2) f'_{n-2}/prod_{3..n} a_j   ]
+    that is diag(1, a_{n+1}) P diag(1, 1/a_1) / prod_{2..n+1} a_j.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a_vals, v_vals = orbit_values(m, base, n)
-    s, lg = _f_sequence(a_vals, v_vals, m.lam, E, n)
-    # shifted-base recurrence, reusing the same orbit values one index up
-    s2, lg2 = _f_sequence(a_vals[1:], v_vals[1:], m.lam, E, n - 1)
-    log_a = np.log(np.abs(a_vals[1:]))  # log|a_j| for j = 1..n+1
-    sign_a = np.sign(a_vals[1:])
-
-    def prod_log(j_lo: int, j_hi: int) -> tuple[float, float]:
-        # (log, sign) of prod_{j=j_lo}^{j_hi} a_j; empty product = 1
-        if j_hi < j_lo:
-            return 0.0, 1.0
-        sl = slice(j_lo - 1, j_hi)
-        return float(np.sum(log_a[sl])), float(np.prod(sign_a[sl]))
-
-    ratio_log = log_a[0] - log_a[1]  # log|a_1/a_2|
-    ratio_sign = sign_a[0] * sign_a[1]
-
-    entries_log = np.empty(4)
-    entries_sign = np.empty(4)
-    specs = [
-        (s[n], lg[n], *prod_log(2, n + 1), 1.0, 0.0),
-        (s2[n - 1], lg2[n - 1], *prod_log(3, n + 1), -ratio_sign, ratio_log),
-        (s[n - 1], lg[n - 1], *prod_log(2, n), 1.0, 0.0),
-        (s2[n - 2] if n >= 2 else 0, lg2[n - 2] if n >= 2 else -np.inf,
-         *prod_log(3, n), -ratio_sign, ratio_log),
-    ]
-    for i, (sgn, lnum, lden, sden, pref_s, pref_l) in enumerate(specs):
-        entries_sign[i] = sgn * sden * pref_s
-        entries_log[i] = lnum - lden + pref_l
-    finite = np.isfinite(entries_log)
-    if not finite.any():
-        raise ValueError("all matrix entries vanish")
-    top = float(entries_log[finite].max())
-    with np.errstate(invalid="ignore"):
-        vals = np.where(finite, entries_sign * np.exp(entries_log - top), 0.0)
-    unit = vals.reshape(2, 2)
-    lsm = LogScaledMatrix.from_matrix(unit, log_scale=top)
-    log_det = log_a[0] - log_a[n]  # log|a_1| - log|a_{n+1}|
-    return CocycleProduct(lsm, float(log_det), n)
+    unit, log_scale, a_vals = _f_product(m, base, E, n)
+    a_1, a_n1, rest = a_vals[1], a_vals[n + 1], a_vals[2:n + 2]
+    scaled = unit * np.array([[1.0, 1.0 / a_1], [a_n1, a_n1 / a_1]]) * np.prod(np.sign(rest))
+    lsm = LogScaledMatrix.from_matrix(scaled, log_scale - float(np.sum(np.log(np.abs(rest)))))
+    return CocycleProduct(lsm, math.log(abs(a_1)) - math.log(abs(a_n1)), n)
 
 
 @dataclass(frozen=True)
@@ -418,45 +379,30 @@ def solve_difference_equation(
             sign[i] = 1.0 if val > 0 else -1.0
             log_abs[i] = math.log(abs(val)) + offset
 
-    # a_k and v_k at every site, from one call of the exact orbit primitive
+    # a_k and lam*v_k - E at every site, from one call of the exact orbit primitive
     xs, ys = exact_orbit_phases(base.x, base.y, np.arange(n_min, n_max + 1), m.omega)
     a_all = m.a(ys).tolist()
-    v_all = m.v(xs, ys).tolist()
+    d_all = [m.lam * v - E for v in m.v(xs, ys).tolist()]
 
-    def coeffs(k: int) -> tuple[float, float, float]:
-        i = k - n_min
-        return a_all[i], a_all[i + 1], v_all[i]
+    def sweep(sites, step: int, prev: float, cur: float, b: list, c: list):
+        # phi(k + step) = (d_k phi(k) - b_k phi(k - step)) / c_k for k in sites,
+        # rescaled by _RESCALE whenever the pair outgrows it
+        offset = 0.0
+        for k in sites:
+            i = k - n_min
+            prev, cur = cur, (d_all[i] * cur - b[i] * prev) / c[i]
+            if max(abs(prev), abs(cur)) > _RESCALE:
+                prev /= _RESCALE
+                cur /= _RESCALE
+                offset += _LOG_RESCALE
+            store(k + step, cur, offset)
 
     phi0, phi1 = float(initial[0]), float(initial[1])
     store(0, phi0, 0.0)
     store(1, phi1, 0.0)
-
-    # forward sweep
-    prev, cur, offset = phi0, phi1, 0.0
-    for k in range(1, n_max):
-        a_k, a_k1, v_k = coeffs(k)
-        nxt = ((m.lam * v_k - E) * cur - a_k * prev) / a_k1
-        prev, cur = cur, nxt
-        mag = max(abs(prev), abs(cur))
-        if mag > _RESCALE:
-            prev /= _RESCALE
-            cur /= _RESCALE
-            offset += _LOG_RESCALE
-        store(k + 1, cur, offset)
-
-    # backward sweep
-    nand, cur, offset = phi1, phi0, 0.0  # phi(k+1), phi(k)
-    for k in range(0, n_min, -1):
-        a_k, a_k1, v_k = coeffs(k)
-        prv = ((m.lam * v_k - E) * cur - a_k1 * nand) / a_k
-        nand, cur = cur, prv
-        mag = max(abs(nand), abs(cur))
-        if mag > _RESCALE:
-            nand /= _RESCALE
-            cur /= _RESCALE
-            offset += _LOG_RESCALE
-        store(k - 1, cur, offset)
-
+    # forward: b_k = a_k, c_k = a_{k+1}; backward: b_k = a_{k+1}, c_k = a_k
+    sweep(range(1, n_max), 1, phi0, phi1, a_all, a_all[1:])
+    sweep(range(0, n_min, -1), -1, phi1, phi0, a_all[1:], a_all)
     return DifferenceSolution(n_min, n_max, sign, log_abs)
 
 
@@ -480,10 +426,33 @@ def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     if len(rows) > 1 and len(rows) >= rows[0].size:
         return np.add.accumulate(np.concatenate((total[None], rows)), axis=0)[-1]
-    total = total + rows[0]
-    for row in rows[1:]:
+    total = total.copy()
+    for row in rows:
         total += row
     return total
+
+
+def _tree_fold(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U_{K-1} ... U_1 U_0 of a (K, 4, c) stack of unit matrices (rows m00,
+    m01, m10, m11) with (K, c) log scales, as ((4, c) unit, (c,) log scale).
+
+    Each level multiplies the pairs U_{2i+1} U_{2i} side by side, divides
+    each product by its Frobenius norm and adds the log of that norm to the
+    pair's log scales; an odd last matrix carries to the next level.  So
+    ceil(log2 K) levels replace K - 1 steps, and every value is a function
+    of its column of U and S alone.
+    """
+    U = U.reshape(len(U), 2, 2, -1)
+    while len(U) > 1:
+        h = len(U) // 2
+        left, right = U[1:2 * h:2], U[0:2 * h:2]
+        p = left[:, :, :1] * right[:, :1] + left[:, :, 1:] * right[:, 1:]
+        sq = p * p
+        fro = np.sqrt(sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1])
+        p /= fro[:, None, None]
+        s = S[0:2 * h:2] + S[1:2 * h:2] + np.log(fro)
+        U, S = np.concatenate((p, U[2 * h:])), np.concatenate((s, S[2 * h:]))
+    return U[0].reshape(4, -1), S[0]
 
 
 def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,

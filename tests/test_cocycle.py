@@ -264,6 +264,19 @@ def test_long_orbit_agreement_at_n0_to_the_fifth(theorem_model, long_oracle, mon
     assert _rel(float(b["log_norm"][0]), want.log_norm) < 1e-9
 
 
+def test_long_via_f_at_n0_to_the_fifth(theorem_model, long_oracle):
+    # the f-recurrence product, the transfer-matrix product and the
+    # exact-phase oracle agree at n = 2^20
+    p = TorusPoint(*LONG_BASES[0])
+    want = long_oracle[0][N_LONG]
+    cf = fundamental_matrix_via_f(theorem_model, p, 0.0, N_LONG)
+    cp = fundamental_matrix(theorem_model, p, 0.0, N_LONG)
+    assert _rel(cf.log_norm, cp.log_norm) < 1e-9
+    assert _rel(cf.log_norm, want.log_norm) < 1e-9
+    assert abs(cf.log_det - want.log_det) < 1e-9
+    assert np.allclose(cf.m.unit, want.m.unit, rtol=0.0, atol=1e-9)
+
+
 def test_batched_width_two_long_orbit(theorem_model, long_oracle):
     # the width-2 call at n = 1e5 whose float closed-form phases once drifted
     xs, ys = (np.array(v) for v in zip(*LONG_BASES))
@@ -288,6 +301,21 @@ def test_orbit_product_matches_oracle_across_segments(tame_model, monkeypatch):
                 assert got.log_norm == pytest.approx(want.log_norm, rel=1e-12)
                 assert got.log_det == pytest.approx(want.log_det, rel=1e-12, abs=1e-12)
                 assert np.allclose(got.m.unit, want.m.unit, rtol=0.0, atol=1e-12)
+
+
+def test_tree_fold_matches_oracle(tame_model, monkeypatch):
+    # K = 1..9 segments of 3 steps, the last one short or full: the pairwise
+    # fold carries an odd segment at one or more of its levels
+    monkeypatch.setattr(cocycle, "_SEGMENT", 3)
+    rng = np.random.default_rng(59)
+    for K in (1, 2, 3, 4, 5, 7, 8, 9):
+        for p in random_points(rng, 2):
+            for n in (3 * K - 1, 3 * K):
+                for divide, f in ((True, fundamental_matrix), (False, fundamental_matrix_a)):
+                    want = _product_loop(tame_model, p, 0.3, [n], divide)[n]
+                    got = f(tame_model, p, 0.3, n)
+                    assert got.log_norm == pytest.approx(want.log_norm, rel=1e-12)
+                    assert np.allclose(got.m.unit, want.m.unit, rtol=0.0, atol=1e-12)
 
 
 def test_negative_a_products(monkeypatch):
@@ -374,6 +402,84 @@ def test_cocycle_blocks_lie_on_the_orbit(theorem_model):
 
 
 # ---------------------------------------------------------------- f recurrence
+
+
+def _f_loop(a_vals, v_vals, lam, E, n):
+    """Signed-log values of f_0..f_n by the three-term recurrence
+    f_j = (lam*v_j - E) f_{j-1} - a_j^2 f_{j-2}, one step at a time,
+    rescaled to avoid overflow; an exact zero has sign 0 and log -inf.  The
+    textbook oracle of `f_determinant` and `fundamental_matrix_via_f`."""
+    signs = np.zeros(n + 1, dtype=np.int8)
+    logs = np.full(n + 1, -np.inf)
+    f_prev, f_cur = 0.0, 1.0  # f_{-1}, f_0
+    offset = 0.0
+    signs[0], logs[0] = 1, 0.0
+    for j in range(1, n + 1):
+        d = lam * v_vals[j] - E
+        f_next = d * f_cur - a_vals[j] * a_vals[j] * f_prev
+        f_prev, f_cur = f_cur, f_next
+        if max(abs(f_prev), abs(f_cur)) > 1e100:
+            f_prev /= 1e100
+            f_cur /= 1e100
+            offset += math.log(1e100)
+        if f_cur != 0.0:
+            signs[j] = 1 if f_cur > 0 else -1
+            logs[j] = math.log(abs(f_cur)) + offset
+    return signs, logs
+
+
+def _via_f_oracle(m, p, E, n):
+    """M_n from the entry layout of `fundamental_matrix_via_f`, with f and
+    the shifted-base f' from `_f_loop`, as (unit, log scale)."""
+    a_vals, v_vals = orbit_values(m, p, n)
+    s, lg = _f_loop(a_vals, v_vals, m.lam, E, n)
+    s2, lg2 = _f_loop(a_vals[1:], v_vals[1:], m.lam, E, n - 1)
+    log_a = np.log(np.abs(a_vals))  # index j is log|a_j|
+    ratio_log = log_a[1] - log_a[2]
+    ratio_sign = -np.sign(a_vals[1] * a_vals[2])
+    entries = [  # (sign, log) of the four entries, numerator over prod a_j
+        (s[n] * np.prod(np.sign(a_vals[2:n + 2])), lg[n] - log_a[2:n + 2].sum()),
+        (ratio_sign * s2[n - 1] * np.prod(np.sign(a_vals[3:n + 2])),
+         ratio_log + lg2[n - 1] - log_a[3:n + 2].sum()),
+        (s[n - 1] * np.prod(np.sign(a_vals[2:n + 1])), lg[n - 1] - log_a[2:n + 1].sum()),
+        (ratio_sign * s2[n - 2] * np.prod(np.sign(a_vals[3:n + 1])) if n >= 2 else 0.0,
+         ratio_log + lg2[n - 2] - log_a[3:n + 1].sum() if n >= 2 else -np.inf),
+    ]
+    signs, logs = (np.array(v, dtype=float) for v in zip(*entries))
+    top = logs.max()
+    vals = np.where(signs != 0, signs * np.exp(logs - top), 0.0).reshape(2, 2)
+    fro = np.linalg.norm(vals)
+    return vals / fro, top + math.log(fro)
+
+
+def test_f_product_matches_recurrence_oracle(tame_model, theorem_model, monkeypatch):
+    # the segmented product of the F_j against the step-by-step recurrence,
+    # across segment lengths and with n short of, at and past a segment
+    rng = np.random.default_rng(61)
+    seen_signs = set()
+    for seg in (1, 4, 5, 7, cocycle._SEGMENT):
+        monkeypatch.setattr(cocycle, "_SEGMENT", seg)
+        for m in (tame_model, theorem_model):
+            for p in random_points(rng, 2):
+                E = float(rng.normal())
+                for n in sorted({1, seg - 1, seg, seg + 1, 3 * seg + 5} - {0}):
+                    a_vals, v_vals = orbit_values(m, p, n)
+                    s, lg = _f_loop(a_vals, v_vals, m.lam, E, n)
+                    log_f, sign = f_determinant(m, p, E, n)
+                    # f_n relative to the size of (f_n, f_{n-1})
+                    top = max(lg[n], lg[n - 1])
+                    want = s[n] * math.exp(lg[n] - top)
+                    assert sign * math.exp(log_f - top) == pytest.approx(want, abs=1e-10)
+                    if abs(want) > 1e-6:
+                        assert sign == s[n]
+                    seen_signs.add(sign)
+                    unit, log_scale = _via_f_oracle(m, p, E, n)
+                    cf = fundamental_matrix_via_f(m, p, E, n)
+                    assert np.allclose(cf.m.unit, unit, rtol=0.0, atol=1e-10)
+                    assert cf.m.log_scale == pytest.approx(log_scale, rel=1e-12, abs=1e-12)
+                    want_det = math.log(abs(a_vals[1] / a_vals[n + 1]))
+                    assert cf.log_det == pytest.approx(want_det, abs=1e-12)
+    assert seen_signs == {-1, 1}
 
 
 def test_f_matches_cofactor_oracle(tame_model):
