@@ -19,16 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import JacobiModel, ModelAdmissionError
-from .torus import TorusPoint, exact_orbit_phases, orbit_phases
+from .torus import TorusPoint, exact_orbit_phases, orbit_offsets, q64
 
 _RESCALE = 1e100
 _LOG_RESCALE = math.log(_RESCALE)
 _A_FLOOR = 1.0 - 1e-9
 _BLOCK = 16384  # elements per block of the batched sweep
-# steps per segment of `orbit_product`: the kernel forms a segment's phases
-# by the float closed form from its exact start, and at j <= 128 the phase
-# j(j-1)/2 * omega stays below 2^13, so its two roundings and the rounding
-# of j*y keep every in-segment phase within 1e-12 of the exact one
+# steps per segment of `orbit_product`.  In-segment phases are the kernel's
+# exact offsets from the segment's start, so the length bounds no phase
+# error; long products cost the same within 5 % from 64 to 256 steps
 _SEGMENT = 128
 
 
@@ -173,10 +172,9 @@ def orbit_product(m: JacobiModel, x, y, E: float, n: int) -> OrbitProducts:
     """A'_n ... A'_1 at the base points (x[i], y[i]) from wide kernel sweeps.
 
     Each orbit is cut into K = ceil(n / _SEGMENT) segments; segment k starts
-    at T^{k _SEGMENT}(x, y), which `exact_orbit_phases` gives exactly, so
-    only the in-segment phases are float closed forms, within 1e-12 of the
-    exact ones.  One call of the batched kernel sweeps the segments of a
-    chunk of max(1, _BLOCK // K) points side by side (all points at once
+    at T^{k _SEGMENT}(x, y), exactly from `exact_orbit_phases`, and the
+    kernel moves it by exact offsets.  One kernel call sweeps the segments of
+    a chunk of max(1, _BLOCK // K) points side by side (all points at once
     when w <= that), so memory stays O(max(_BLOCK, K)) whatever w and n
     are; each point's last segment, n - (K-1) _SEGMENT steps long, is read
     at its own checkpoint.  The segments of each point are then multiplied
@@ -455,9 +453,18 @@ def _tree_fold(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U[0].reshape(4, -1), S[0]
 
 
+def _renorm_every(m: JacobiModel, E: float) -> int:
+    """Steps r between renormalizations of the sweep state: ||A'_j||_2 <=
+    G = sqrt((lam sup|v| + |E|)^2 + 2 sup|a|^2) and |det A'_j| >= inf|a|^2,
+    so r steps scale a unit state's norm by e^{+-300} at most, and the
+    squares the Frobenius norm sums stay normal floats."""
+    g = math.hypot(m.lam * m.sup_norm_v + abs(E), math.sqrt(2.0) * m.sup_abs_a)
+    return max(1, int(300.0 / math.log(max(g, g / m.inf_abs_a ** 2))))
+
+
 def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
            checkpoints: list[int], a_floor: float | None = None):
-    """The batched sweep kernel: yields the raw state at each checkpoint.
+    """The batched sweep kernel: yields the state at each checkpoint.
 
     Yields (n, u, log_scale, sum_log_a_next, log_det, small_a) once per
     distinct checkpoint n, in order.  u is the (4, ...) unit part m00, m01,
@@ -469,25 +476,25 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
     sweep's own and change when it resumes: read or copy them first.
 
     `x` and `y` are equal-rank arrays (see `batched_log_norm_checkpoints`).
+    Step j sits at (x + Phi_j(y), y + theta_j), exact offsets of y and omega
+    quantized once (`torus.orbit_offsets`); a and v come from `along`
+    tables of x and y, so trig runs on the offsets alone, at y's shape.
     Steps run in blocks of max(1, _BLOCK // samples) steps, cut at every
-    checkpoint.  One vectorized pass per block computes the phases, a_{j+1},
-    log|a_{j+1}| and lam*v_j - E of all its steps (the next block's phases
-    are computed one block ahead, so its first a_j is evaluated once); only
-    the 2x2 update and its renormalization run step by step, and the log
-    sums are added in step order (`_running_total`).  Every value is the
-    one a step-by-step sweep gives, whatever the block length.
+    checkpoint; only the 2x2 update runs step by step.  The state is
+    renormalized after each step j with j % r == 0 (`_renorm_every`) and a
+    checkpoint reads out a normalized copy, so with the log sums added in
+    step order (`_running_total`) its values are bitwise those of a sweep
+    that stops there, whatever the block length.
     """
     shape = np.broadcast_shapes(x.shape, y.shape)
-    lam, omega = m.lam, m.omega
     block = max(1, _BLOCK // max(1, math.prod(shape)))
     spans, done = [], 0  # blocks of steps j0 <= j < j1
     for n in checkpoints:
         spans += [(j0, min(j0 + block, n + 1)) for j0 in range(done + 1, n + 1, block)]
         done = n
-
-    def phases(j0, j1):
-        steps = np.arange(j0, j1).reshape((-1,) + (1,) * len(shape))
-        return orbit_phases(x, y, steps, omega)
+    every = _renorm_every(m, E)
+    Y, W = q64(y), q64(m.omega)
+    a_at, v_at = m.a.along(y), m.v.along(x, y)
 
     r = math.sqrt(2.0)
     u = np.zeros((4,) + shape)  # the unit part m00, m01, m10, m11
@@ -503,47 +510,55 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
     inv = np.empty(shape)
     u_top, u_bottom = u[:2], u[2:]
     sq0, sq1, sq2, sq3 = sq
+
+    def normalized(f, out):
+        # u / ||u||_F into `out`, with ||u||_F in f
+        np.multiply(u, u, out=sq)
+        np.add(sq0, sq1, out=f)
+        f += sq2
+        f += sq3
+        np.sqrt(f, out=f)
+        np.divide(1.0, f, out=inv)
+        return np.multiply(u, inv, out=out)
+
+    def readout(n):
+        # the normalized copy goes to the scratch rows, free until resumed
+        f = np.empty(shape)
+        unit = normalized(f, out=sq)
+        np.log(f, out=f)
+        f += log_scale
+        return n, unit, f, sum_log_a_next, log_det, small_a
+
     if 0 in checkpoints:
-        yield 0, u, log_scale, sum_log_a_next, log_det, small_a
-    if spans:
-        xj, yj = phases(*spans[0])
-        a_j = m.a(yj[0])
-        log_a_j = np.log(np.abs(a_j))
+        yield readout(0)
+    for j0, j1 in spans:
+        steps = np.arange(j0, j1 + 1).reshape((-1,) + (1,) * len(shape))
+        # signed offsets in [-1/2, 1/2) turns keep the trig arguments small
+        phi, theta = (q.view(np.int64) * 2.0**-64 for q in orbit_offsets(Y, W, steps))
+        a = a_at(theta)  # a_j, j0 <= j <= j1
         if a_floor is not None:
-            small_a[np.abs(a_j) < a_floor] = 1
-    for i, (j0, j1) in enumerate(spans):
-        x_ahead, y_ahead = phases(*spans[i + 1]) if i + 1 < len(spans) else phases(j1, j1 + 1)
-        a_next = m.a(np.concatenate((yj[1:], y_ahead[:1])))  # a_{j+1}, j0 <= j < j1
-        if a_floor is not None:
-            low = np.abs(a_next) < a_floor
-            first = j0 + 1 + np.argmax(low, axis=0)
+            low = np.abs(a) < a_floor
+            first = j0 + np.argmax(low, axis=0)
             small_a = np.where((small_a == 0) & low.any(axis=0), first, small_a)
-        d = lam * m.v(xj, yj) - E
+        d = v_at(phi[:-1], theta[:-1])
+        d *= m.lam
+        d -= E  # lam*v_j - E
         fro = np.empty(d.shape)
-        for d_j, a_j1, f in zip(d, a_next, fro):
+        for j, d_j, a_j, a_j1, f in zip(range(j0, j1), d, a, a[1:], fro):
             # u <- A'_j u = [[d_j m00 - a_j m10, d_j m01 - a_j m11],
             #                [a_{j+1} m00,       a_{j+1} m01]]
             np.multiply(a_j, u_bottom, out=prod)
             np.multiply(a_j1, u_top, out=u_bottom)
             np.multiply(d_j, u_top, out=u_top)
             np.subtract(u_top, prod, out=u_top)
-            np.multiply(u, u, out=sq)
-            np.add(sq0, sq1, out=f)
-            f += sq2
-            f += sq3
-            np.sqrt(f, out=f)
-            np.divide(1.0, f, out=inv)
-            np.multiply(u, inv, out=u)
-            a_j = a_j1
-        log_scale = _running_total(log_scale, np.log(fro))
-        log_a_next = np.log(np.abs(a_next))
-        log_det = _running_total(
-            log_det, np.concatenate((log_a_j[None], log_a_next[:-1])) - log_a_next)
-        log_a_j = log_a_next[-1]
-        sum_log_a_next = _running_total(sum_log_a_next, log_a_next)
-        xj, yj = x_ahead, y_ahead
+            if j % every == 0:
+                normalized(f, out=u)
+        log_scale = _running_total(log_scale, np.log(fro[-j0 % every::every]))
+        log_a = np.log(np.abs(a))
+        log_det = _running_total(log_det, log_a[:-1] - log_a[1:])
+        sum_log_a_next = _running_total(sum_log_a_next, log_a[1:])
         if j1 - 1 in checkpoints:
-            yield j1 - 1, u, log_scale, sum_log_a_next, log_det, small_a
+            yield readout(j1 - 1)
 
 
 def batched_log_norm_checkpoints(
@@ -557,19 +572,18 @@ def batched_log_norm_checkpoints(
 
     The estimators' kernel.  The sweep (`_sweep`) runs to the largest of the
     ascending `checkpoints` and reads out every checkpoint on the way,
-    vectorized over samples.  It multiplies the un-divided factors A'_j with
-    per-step Frobenius renormalization; the plain and unimodular log-norms
-    follow by the exact scalar relations M_n = M_n^a / prod a_{j+1} and
-    M^u = M / |det M|^{1/2}.  A checkpoint runs the same elementwise
-    operations as a sweep that stops there, so its values are bitwise those
-    of a separate n-step sweep.  Phases are the float closed form
-    `orbit_phases`, whose error grows like j^2; `batched_log_norms` is the
-    view with exact long-orbit phases.
+    vectorized over samples.  It multiplies the un-divided factors A'_j at
+    exact orbit offsets, with Frobenius renormalization on a fixed schedule
+    of steps; the plain and unimodular log-norms follow by the exact scalar
+    relations M_n = M_n^a / prod a_{j+1} and M^u = M / |det M|^{1/2}.  A
+    checkpoint reads out a normalized copy of the state, so its values are
+    bitwise those of a separate n-step sweep.  `batched_log_norms` is the
+    one-scale view that folds long orbits in log depth.
 
     `x` and `y` are equal-length sample lists or broadcastable axes of a
     product grid, e.g. x of shape (R, 1) or (R, C) and y of shape (1, C).
-    What depends on y alone (the y phases, a_j, log|a_j| and their sums) is
-    computed at y's shape, once per grid column; broadcasting hands every
+    What depends on y alone (the offsets and their trig, a_j, log|a_j| and
+    their sums) is computed at y's shape, once per grid column; broadcasting hands every
     sample the same operands in the same order, so the values are bitwise
     those of the ravelled points.  Maps each checkpoint n to arrays
     log_norm, log_norm_u, log_norm_a, log_det, ravelled in C (x-major) order.
@@ -617,10 +631,10 @@ def batched_log_norms(
     Returns arrays log_norm, log_norm_u, log_norm_a, log_det, ravelled as in
     `batched_log_norm_checkpoints`.  For n <= _SEGMENT this is that kernel's
     one-checkpoint view, bitwise.  Beyond, the values come from
-    `orbit_product` over the ravelled points (exact segment starts), so the
-    phases stay within 1e-12 of the exact ones at any n, and log_norm at
-    each point is bitwise `fundamental_matrix(...).log_norm` there, and
-    |a| < 1 along an orbit raises ModelAdmissionError as it does there.
+    `orbit_product` over the ravelled points (segments swept side by side
+    and folded in log depth, the faster form for narrow inputs), so
+    log_norm at each point is bitwise `fundamental_matrix(...).log_norm`
+    there, and |a| < 1 along an orbit raises ModelAdmissionError as there.
     """
     if n <= _SEGMENT:
         return batched_log_norm_checkpoints(m, x, y, E, [n])[n]

@@ -31,6 +31,40 @@ class ModelAdmissionError(ValueError):
     """Raised when (a, v, lambda) violates the model admission rules."""
 
 
+def _turn(w: float, table, s, want_cos: bool, want_sin: bool):
+    """(cos w (t + s), sin w (t + s)) from table = (cos w t, sin w t) by
+    angle addition, each formed only if wanted (None otherwise)."""
+    if not (want_cos or want_sin):
+        return None, None
+    ct, st = table
+    # a quarter angle doubled twice: for |w s| <= pi libm's cos and sin
+    # then see arguments within pi/4, where they cost about half as much
+    h = 0.25 * w * s
+    cs, ss = np.cos(h), np.sin(h)
+    for _ in range(2):
+        ss, cs = 2.0 * ss * cs, 1.0 - 2.0 * ss * ss
+    cos = sin = None  # formed in place: fewer full-size temporaries
+    if want_cos:
+        cos = ct * cs
+        cos -= st * ss
+    if want_sin:
+        sin = st * cs
+        sin += ct * ss
+    return cos, sin
+
+
+def _products(prods, fx, fy):
+    """The sum of coefficient * x factor * y factor over one TrigPoly2 term's
+    products, in order; fx and fy are indexed by _ONE, _COS, _SIN."""
+    term = None
+    for coef, i, j in prods:
+        p = (fx[i] if coef == 1.0 else coef * fx[i]) if i else coef
+        if j:
+            p = p * fy[j]
+        term = p if term is None else term + p
+    return term
+
+
 @dataclass(frozen=True)
 class TrigPoly1:
     """Finite Fourier series on T: sum_k c_k cos(2 pi k t) + s_k sin(2 pi k t).
@@ -82,6 +116,15 @@ class TrigPoly1:
                 acc += s * math.sin(ang)
         return acc
 
+    def along(self, t):
+        """The evaluator s -> self(t + s), by angle addition: cos and sin of
+        2 pi k t are tabulated once at t's shape, and a call takes trig only
+        at s's shape (per step, for a column of step offsets).  Agrees with
+        `__call__` at t + s to a few ulp of sum |coef|.  It is
+        `TrigPoly2.along` of the same series in the second variable."""
+        at = TrigPoly2(tuple((0, k, c, s, 0.0, 0.0) for k, c, s in self.terms)).along(0.0, t)
+        return lambda s: at(0.0, s)
+
     def deriv_bound(self) -> float:
         return sum(TWO_PI * abs(k) * (abs(c) + abs(s)) for k, c, s in self.terms)
 
@@ -131,13 +174,7 @@ class TrigPoly2:
                   np.sin(w1 * x) if sin1 else None)
             fy = (1.0, np.cos(w2 * y) if cos2 else None,
                   np.sin(w2 * y) if sin2 else None)
-            term = None
-            for coef, i, j in prods:
-                p = coef * fx[i] if i else coef
-                if j:
-                    p = p * fy[j]
-                term = p if term is None else term + p
-            out += term
+            out += _products(prods, fx, fy)
         return out if out.ndim else float(out)
 
     def eval_scalar(self, x: float, y: float) -> float:
@@ -147,14 +184,26 @@ class TrigPoly2:
                   math.sin(w1 * x) if sin1 else None)
             fy = (1.0, math.cos(w2 * y) if cos2 else None,
                   math.sin(w2 * y) if sin2 else None)
-            term = None
-            for coef, i, j in prods:
-                p = coef * fx[i] if i else coef
-                if j:
-                    p = p * fy[j]
-                term = p if term is None else term + p
-            acc += term
+            acc += _products(prods, fx, fy)
         return acc
+
+    def along(self, x, y):
+        """The evaluator (sx, sy) -> self(x + sx, y + sy), by angle addition
+        from cos/sin tables of x and y (see `TrigPoly1.along`): an x factor
+        takes trig at sx's shape, a y factor at sy's."""
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        tables = [((np.cos(w1 * x), np.sin(w1 * x)) if cos1 or sin1 else None,
+                   (np.cos(w2 * y), np.sin(w2 * y)) if cos2 or sin2 else None)
+                  for w1, cos1, sin1, w2, cos2, sin2, _ in self._live]
+
+        def at(sx, sy):
+            out = np.zeros(np.broadcast(x, y, sx, sy).shape)
+            for (w1, cos1, sin1, w2, cos2, sin2, prods), (tx, ty) in zip(self._live, tables):
+                fx = (1.0,) + _turn(w1, tx, sx, cos1, sin1)
+                fy = (1.0,) + _turn(w2, ty, sy, cos2, sin2)
+                out += _products(prods, fx, fy)
+            return out
+        return at
 
     def grad_bound(self) -> float:
         # bound on |grad v| from the coefficients, used for sup-norm padding

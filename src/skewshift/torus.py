@@ -49,35 +49,42 @@ def orbit_phases(x, y, j, omega: float):
 _TWO64 = 2.0**64
 
 
-def _q64(z) -> np.ndarray:
+def q64(z) -> np.ndarray:
     """z mod 1 as uint64 Q0.64 fixed point, rounded to the nearest 2^-64."""
     t = np.rint(mod1_array(np.asarray(z, dtype=np.float64)) * _TWO64)
     return np.where(t < _TWO64, t, 0.0).astype(np.uint64)
 
 
-def exact_orbit_phases(x, y, s, omega: float):
-    """T^s(x, y) mod 1, exact up to the final rounding to floats.
+def orbit_offsets(Y, W, s):
+    """(Phi_s(y), theta_s) in Q0.64, with T^s(x, y) = (x + Phi_s, y + theta_s).
 
-    x, y and omega are carried as uint64 Q0.64 fixed point, where
-    X_s = X + s*Y + s(s-1)/2 * W and Y_s = Y + s*W wrap exactly mod 2^64,
-    i.e. mod 1.  The triangular number is formed by parity, as
-    (s // 2) * (s - 1) for even s and s * (s // 2) for odd s, so the halving
-    happens before the wrap and is not lost to it.  `s` is an integer or an
-    integer array of either sign, |s| <= 2^62, that broadcasts against x
-    and y.  Each phase is X_s / 2^64 rounded to the nearest float (1.0
-    becomes 0.0), which is bitwise `skew_shift_iterate` whenever the inputs
-    are multiples of 2^-64.  Every float in [2^-11, 1), and so every sampler
-    point, is one; a base coordinate below 2^-11 is first rounded to the
-    2^-64 grid.
+    Y and W are y and omega from `q64`; Phi_s = s*Y + s(s-1)/2 * W and
+    theta_s = s*W wrap exactly mod 2^64, i.e. mod 1.  s(s-1)/2 is formed by
+    parity, (s // 2)(s - 1) or s (s // 2), so the halving precedes the wrap.
+    `s` is an integer or integer array of either sign, |s| <= 2^62, that
+    broadcasts against Y; theta_s has the shape of s.
     """
     s = np.asarray(s, dtype=np.int64)
-    X, Y, W = _q64(x), _q64(y), _q64(omega)
     step = s.astype(np.uint64)
     with np.errstate(over="ignore"):
         tri = (s >> 1).astype(np.uint64) * (s - 1 + (s & 1)).astype(np.uint64)
-        xs = X + step * Y + tri * W
-        ys = Y + step * W
-    return _from_q64(xs), _from_q64(ys)
+        return step * Y + tri * W, step * W
+
+
+def exact_orbit_phases(x, y, s, omega: float):
+    """T^s(x, y) mod 1, exact up to the final rounding to floats.
+
+    x, y and omega are carried as uint64 Q0.64 fixed point (`q64`) and
+    moved by the exact offsets of `orbit_offsets`.  `s` is as there.  Each
+    phase is X_s / 2^64 rounded to the nearest float (1.0 becomes 0.0),
+    which is bitwise `skew_shift_iterate` whenever the inputs are multiples
+    of 2^-64.  Every float in [2^-11, 1), and so every sampler point, is
+    one; a base coordinate below 2^-11 is first rounded to the 2^-64 grid.
+    """
+    X, Y = q64(x), q64(y)
+    phi, theta = orbit_offsets(Y, q64(omega), s)
+    with np.errstate(over="ignore"):
+        return _from_q64(X + phi), _from_q64(Y + theta)
 
 
 def _from_q64(q: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ Run with `pytest -v tests/test_acceptance.py` (add -s to see the lines live).
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
                 if name == "MANIFEST":
                     continue
                 path = os.path.join(root, name)
-                blobs[os.path.relpath(path, out)] = open(path, "rb").read()
+                blobs[os.path.relpath(path, out)] = Path(path).read_bytes()
         outs[tag] = blobs
     ok = outs["a"] == outs["b"] == outs["c"]
     report(12, "archive replay byte-identical, thread-count invariant", ok)

@@ -32,7 +32,7 @@ from skewshift.model import (
     model_to_dict,
 )
 from skewshift.avalanche import cocycle_blocks
-from skewshift.torus import TorusPoint, mod1, skew_shift_iterate
+from skewshift.torus import TorusPoint, mod1, q64, skew_shift_iterate
 
 from conftest import constant_model, dense_product, make_model, random_points, tridiag_det
 
@@ -599,48 +599,63 @@ def test_checkpoints_match_separate_sweeps(theorem_model, tame_model):
 
 
 def _textbook_sweep(m, x, y, E, checkpoints):
-    """The batched sweep one step at a time, as the kernel ran before it
-    worked in blocks: every step forms its x phase, y_{j+1}, a_{j+1} and v_j
-    (y_j, a_j and log|a_j| carried from the step before) and adds each log
-    to its running sum.  The reference the block kernel must match bitwise."""
+    """The batched sweep one step at a time.  Every step moves the exact
+    Q0.64 offsets by integers, Phi_{j+1} = Phi_j + Y + theta_j and
+    theta_{j+1} = theta_j + W (mod 2^64), evaluates a_{j+1} and v_j through
+    `along` at the signed offsets (a_j and log|a_j| carried from the step
+    before) and adds each log to its running sum; the state is
+    renormalized after every step j with j % r == 0, and a read-out
+    normalizes a copy.  The reference the block kernel must match bitwise."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     shape = np.broadcast_shapes(x.shape, y.shape)
+    x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+    y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
+    every = cocycle._renorm_every(m, E)
+    a_at, v_at = m.a.along(y), m.v.along(x, y)
+
+    def signed(q):
+        return q.view(np.int64) * 2.0**-64
+
+    Y, W = q64(y), q64(m.omega)
+    phi, theta = Y.copy(), np.full((1,) * len(shape), W)  # Phi_1, theta_1
     r = math.sqrt(2.0)
     m00, m01 = np.full(shape, 1.0 / r), np.zeros(shape)
     m10, m11 = np.zeros(shape), np.full(shape, 1.0 / r)
     log_scale = np.full(shape, math.log(r))
     sum_log_a_next, log_det = np.zeros(y.shape), np.zeros(y.shape)
-    y_next = np.mod(y + m.omega, 1.0)
-    a_next = m.a(y_next)
+    a_next = a_at(signed(theta))
     log_a_next = np.log(np.abs(a_next))
     out, j = {}, 0
     for n in checkpoints:
         while j < n:
             j += 1
-            xj = np.mod(x + j * y + (j * (j - 1) // 2) * m.omega, 1.0)
-            yj, a_j, log_a_j = y_next, a_next, log_a_next
-            y_next = np.mod(y + (j + 1) * m.omega, 1.0)
-            a_next = m.a(y_next)
+            a_j, log_a_j = a_next, log_a_next
+            theta_next = theta + W
+            a_next = a_at(signed(theta_next))
             log_a_next = np.log(np.abs(a_next))
-            d = m.lam * m.v(xj, yj) - E
+            d = m.lam * v_at(signed(phi), signed(theta)) - E
+            phi, theta = phi + Y + theta, theta_next
             t00 = d * m00 - a_j * m10
             t01 = d * m01 - a_j * m11
-            t10 = a_next * m00
-            t11 = a_next * m01
-            fro = np.sqrt(t00 * t00 + t01 * t01 + t10 * t10 + t11 * t11)
-            inv = 1.0 / fro
-            m00, m01, m10, m11 = t00 * inv, t01 * inv, t10 * inv, t11 * inv
-            log_scale += np.log(fro)
+            m00, m01, m10, m11 = t00, t01, a_next * m00, a_next * m01
+            if j % every == 0:
+                fro = np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+                inv = 1.0 / fro
+                m00, m01, m10, m11 = m00 * inv, m01 * inv, m10 * inv, m11 * inv
+                log_scale += np.log(fro)
             sum_log_a_next += log_a_next
             log_det += log_a_j - log_a_next
         if n == 0:
             z = np.zeros(math.prod(shape))
             out[0] = {"log_norm": z, "log_norm_u": z, "log_norm_a": z, "log_det": z}
             continue
-        det_u = m00 * m11 - m01 * m10
+        fro = np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+        inv = 1.0 / fro
+        u00, u01, u10, u11 = m00 * inv, m01 * inv, m10 * inv, m11 * inv
+        det_u = u00 * u11 - u01 * u10
         disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
-        log_norm_a = log_scale + 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
+        log_norm_a = (log_scale + np.log(fro)) + 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
         log_norm = log_norm_a - sum_log_a_next
         out[n] = {"log_norm": log_norm.ravel(),
                   "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
@@ -701,6 +716,44 @@ def test_block_sweep_bitwise_textbook_wide(theorem_model, monkeypatch):
     for m in (theorem_model, _y_dependent_model()):
         for x, y in inputs:
             _assert_matches_textbook(m, x, y, monkeypatch)
+
+
+def _assert_matches_oracle(m, x, y, E, n):
+    """The kernel's four outputs at n against `_product_loop` at every
+    point: log-norms to 1e-12 relative, log det to 1e-12."""
+    got = batched_log_norm_checkpoints(m, x, y, E, [n])[n]
+    xs, ys = (v.ravel() for v in np.broadcast_arrays(x, y))
+    for key in got:
+        assert np.all(np.isfinite(got[key])), key
+    for i, (px, py) in enumerate(zip(xs, ys)):
+        p = TorusPoint(float(px), float(py))
+        cp = _product_loop(m, p, E, [n])[n]
+        ca = _product_loop(m, p, E, [n], divide=False)[n]
+        assert _rel(got["log_norm"][i], cp.log_norm) < 1e-12, (i, "log_norm")
+        assert _rel(got["log_norm_a"][i], ca.log_norm) < 1e-12, (i, "log_norm_a")
+        assert _rel(got["log_norm_u"][i], normalize_unimodular(cp).log_norm) < 1e-12, i
+        assert abs(got["log_det"][i] - cp.log_det) < 1e-12, (i, "log_det")
+
+
+def test_kernel_matches_exact_oracle_at_1024(theorem_model):
+    # exact offsets: the float closed form was 1.5e-11 off here
+    gx, gy = Sampler.grid(8).axes()
+    mc = Sampler.monte_carlo(12, 5).points()
+    for m in (theorem_model, _y_dependent_model()):
+        _assert_matches_oracle(m, gx, gy, 0.3, 1024)
+        _assert_matches_oracle(m, *mc, 0.3, 1024)
+
+
+def test_kernel_range_at_extreme_lambda_and_energy():
+    # the renormalization schedule keeps every output finite and exact at
+    # the edges of the energy window; the constant potential grows by the
+    # full bound G every step, so a schedule one step longer overflows
+    x, y = Sampler.monte_carlo(4, 9).points()
+    models = (make_model(lam=1e12), make_model(lam=1e-2),
+              constant_model(a0=1.0, v0=1.0, lam=1e31))
+    for m in models:
+        for E in (0.999 * m.energy_bound, -0.999 * m.energy_bound):
+            _assert_matches_oracle(m, x, y, E, 1000)
 
 
 def test_checkpoints_must_ascend(tame_model):

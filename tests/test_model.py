@@ -112,6 +112,36 @@ def test_trigpoly2_bitwise_textbook(terms, xs, ys):
         assert v.eval_scalar(xi, yi) == want
 
 
+# phases on a 2^-20 grid and offsets on a 2^-32 grid, so t + s is exact
+_base = st.integers(0, 2**20 - 1).map(lambda i: i * 2.0**-20)
+_offset = st.integers(-2**31, 2**31 - 1).map(lambda i: i * 2.0**-32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_freq, _coef, _coef), min_size=1, max_size=4),
+       st.lists(_base, min_size=1, max_size=6), st.lists(_offset, min_size=1, max_size=6))
+def test_trigpoly1_along_matches_call(terms, ts, ss):
+    # a column of offsets against a row of bases, as the sweep kernel uses it
+    a = TrigPoly1(tuple(terms))
+    t, s = np.array(ts)[None, :], np.array(ss)[:, None]
+    tol = 1e-14 * sum(abs(c) + abs(sn) for _, c, sn in terms)
+    assert np.all(np.abs(a.along(t)(s) - a(t + s)) <= tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_freq, _freq, _coef, _coef, _coef, _coef), min_size=1, max_size=4),
+       st.lists(st.tuples(_base, _base, _offset, _offset), min_size=1, max_size=6))
+def test_trigpoly2_along_matches_call(terms, pts):
+    v = TrigPoly2(tuple(terms))
+    x, y, sx, sy = (np.array(c) for c in zip(*pts))
+    tol = 1e-14 * sum(abs(cc) + abs(cs) + abs(sc) + abs(ss) for _, _, cc, cs, sc, ss in terms)
+    assert np.all(np.abs(v.along(x, y)(sx, sy) - v(x + sx, y + sy)) <= tol)
+    # grid axes with per-row offsets, the kernel's shapes
+    got = v.along(x[:, None], y[None, :])(sx[:, None, None], sy[:, None, None])
+    want = v(x[:, None] + sx[:, None, None], y[None, :] + sy[:, None, None])
+    assert np.all(np.abs(got - want) <= tol)
+
+
 def test_trigpoly2_is_constant():
     assert TrigPoly2.constant(3.0).is_constant()
     assert not TrigPoly2.cos_x().is_constant()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def test_theorem_mode_run_deterministic(tmp_path, run_model, small_cfg):
                 continue  # holds the only timestamp
             pa = os.path.join(root, name)
             pb = pa.replace(str(a), str(b), 1)
-            assert open(pa, "rb").read() == open(pb, "rb").read(), name
+            assert Path(pa).read_bytes() == Path(pb).read_bytes(), name
 
 
 def test_run_stage_error_carries_stage(tmp_path, run_model, small_cfg):
