@@ -101,7 +101,8 @@ def cmd_deviation(args) -> int:
     s = _sampler(args)
     records = []
     for n in _int_list(args.scales):
-        thr = args.threshold if args.threshold else m.scaling_factor(args.E) * n ** (-args.tau)
+        thr = (args.threshold if args.threshold is not None
+               else m.scaling_factor(args.E) * n ** (-args.tau))
         rep = deviation_measure(m, args.E, n, thr, s, kind=args.kind,
                                 budget=args.budget, threads=_threads(args))
         records.append(rep.to_json())
@@ -136,8 +137,11 @@ def cmd_avalanche(args) -> int:
     else:
         if not args.model:
             raise ValueError("either --demo or --model is required")
+        try:
+            bx, by = _float_list(args.base)
+        except ValueError:
+            raise ValueError(f"--base must be two numbers x,y, got {args.base!r}") from None
         m = load_model(args.model)
-        bx, by = _float_list(args.base)
         rep = avalanche_on_cocycle(m, TorusPoint(bx, by), args.E, args.n,
                                    args.blocks, gamma=args.gamma, C=args.C)
     _emit(rep.to_json(), args.out)

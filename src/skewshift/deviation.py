@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import _BLOCK, _LOG_RESCALE, _RESCALE, _running_total
+from .cocycle import _BLOCK, orbit_product
 from .lyapunov import (  # noqa: F401 (sample_log_norms re-exported)
     DEFAULT_WORK_BUDGET,
     LyapunovEstimate,
@@ -25,7 +25,7 @@ from .lyapunov import (  # noqa: F401 (sample_log_norms re-exported)
     sample_log_norms,
 )
 from .model import JacobiModel, TrigPoly2
-from .torus import orbit_phases
+from .torus import exact_orbit_phases
 
 CASE2_BOUND = 8.0 + 2.0 * math.log(2.0)
 REFERENCE_GRID = Sampler.grid(128)  # default reference sampler of deviation_measure
@@ -89,22 +89,20 @@ def deviation_measure(
     s: Sampler,
     kind: str = "plain",
     reference: LyapunovEstimate | None = None,
-    ref_sampler: Sampler | None = None,
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> DeviationReport:
     """Fraction of sampled (x, y) with |(1/n) log||M_n|| - L_n| > threshold.
 
-    The reference L_n must carry std_error <= threshold/10 (grid references
-    report 0 by convention); otherwise the call refuses with the sample
-    count that would be needed.  Both the reference and the sample are
-    charged against `budget`.
+    The reference L_n (by default `lyapunov_finite` on REFERENCE_GRID) must
+    carry std_error <= threshold/10 (grid references report 0); otherwise
+    the call refuses with the sample count that would be needed.  Both the
+    reference and the sample are charged against `budget`.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if reference is None:
-        ref_sampler = ref_sampler or REFERENCE_GRID
-        reference = lyapunov_finite(m, E, n, ref_sampler, kind, budget=budget,
+        reference = lyapunov_finite(m, E, n, REFERENCE_GRID, kind, budget=budget,
                                     threads=threads)
     if reference.std_error > threshold / 10.0:
         count = s.total if s.kind == "mc" else 10_000
@@ -122,48 +120,31 @@ def deviation_measure(
 
 
 def _orbit_scan(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float, n: int) -> dict:
-    """One vectorized sweep along the orbit collecting the large-disorder
-    diagnostics: Birkhoff sums of log|v_j - E/lam|, the diagonal
-    determinant, the worst |v_j - E/lam|, and log|f_n| by the three-term
-    recurrence.
+    """The large-disorder diagnostics along the orbits of the points
+    (x[i], y[i]), steps j = 1..n: Birkhoff sums of log|v_j - E/lam|, the
+    diagonal determinant (1/n) sum_j log|lam v_j - E|, the worst
+    |v_j - E/lam|, and (1/n) log|f_n|.
 
-    Like the batched cocycle kernel, it runs in blocks of steps: the phases,
-    a_j, v_j and the logs of a block come from one vectorized pass and are
-    summed in step order; only the f-recurrence and its rescale run step by
-    step.
+    v_j is evaluated at `exact_orbit_phases` for max(1, _BLOCK // n) points
+    at a time, so memory stays O(max(_BLOCK, n)).  f_n is the m00 entry of
+    `orbit_product`'s un-divided product A'_n ... A'_1 = diag(1, a_{n+1})
+    F_n ... F_1 diag(1, 1/a_1), with F_j the f-recurrence steps of
+    `_f_product`.
     """
-    lam, omega = m.lam, m.omega
-    B = x.size
-    shift = E / lam if lam > 0 else math.inf
-    birkhoff = np.zeros(B)
-    log_det_diag = np.zeros(B)
-    min_abs = np.full(B, np.inf)
-    f_prev = np.zeros(B)
-    f_cur = np.ones(B)
-    offset = np.zeros(B)
-    block = max(1, _BLOCK // max(1, B))
-    for j0 in range(1, n + 1, block):
-        steps = np.arange(j0, min(j0 + block, n + 1))[:, None]
-        xj, yj = orbit_phases(x, y, steps, omega)
-        vj = m.v(xj, yj)
-        aj = m.a(yj)
-        d = lam * vj - E
-        log_det_diag = _running_total(log_det_diag, np.log(np.abs(d)))
-        if lam > 0:
-            w = np.abs(vj - shift)
-            birkhoff = _running_total(birkhoff, np.log(w))
-            np.minimum(min_abs, w.min(axis=0), out=min_abs)
-        for d_j, a2_j in zip(d, aj * aj):
-            f_next = d_j * f_cur - a2_j * f_prev
-            f_prev, f_cur = f_cur, f_next
-            mag = np.maximum(np.abs(f_prev), np.abs(f_cur))
-            big = mag > _RESCALE
-            if big.any():
-                f_prev[big] /= _RESCALE
-                f_cur[big] /= _RESCALE
-                offset[big] += _LOG_RESCALE
+    shift = E / m.lam
+    birkhoff, log_det_diag, min_abs = (np.empty(x.size) for _ in range(3))
+    chunk = max(1, _BLOCK // n)
+    steps = np.arange(1, n + 1)
+    for c0 in range(0, x.size, chunk):
+        rows = slice(c0, c0 + chunk)
+        v = m.v(*exact_orbit_phases(x[rows, None], y[rows, None], steps, m.omega))
+        w = np.abs(v - shift)
+        birkhoff[rows] = np.log(w).sum(axis=1)
+        log_det_diag[rows] = np.log(np.abs(m.lam * v - E)).sum(axis=1)
+        min_abs[rows] = w.min(axis=1)
+    p = orbit_product(m, x, y, E, n)
     with np.errstate(divide="ignore"):
-        log_f = np.log(np.abs(f_cur)) + offset
+        log_f = np.log(np.abs(p.unit[:, 0, 0])) + p.log_scale
     return {
         "birkhoff": birkhoff / n,
         "log_det_diag": log_det_diag / n,
@@ -248,6 +229,8 @@ def initial_scale_check(
     `budget` before it runs."""
     if m.lam <= 1.0:
         raise ValueError("initial-scale check requires large disorder (lambda > 1)")
+    if n < 1:
+        raise ValueError("n must be positive")
     S = m.scaling_factor(E)
     log_lam = math.log(m.lam)
     if abs(E) > 2.0 * m.lam * m.sup_norm_v:

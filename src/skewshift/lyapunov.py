@@ -17,7 +17,7 @@ import numpy as np
 # batched_log_norms is re-exported: callers import and patch it from here
 from .cocycle import batched_log_norm_checkpoints, batched_log_norms  # noqa: F401
 from .model import JacobiModel
-from .torus import orbit_phases
+from .torus import exact_orbit_phases
 
 DEFAULT_WORK_BUDGET = 10_000_000_000  # matrix multiplications per job
 _CHUNK = 16384  # fixed chunk size keeps reductions independent of threads
@@ -158,10 +158,6 @@ def env_threads() -> int | None:
             f"SKEWSHIFT_THREADS must be an integer, got {env!r}") from None
 
 
-def _shifted(x: np.ndarray, y: np.ndarray, shift: int, omega: float):
-    return (x, y) if shift == 0 else orbit_phases(x, y, shift, omega)
-
-
 def log_norm_sweep(
     m: JacobiModel,
     E: float,
@@ -182,7 +178,7 @@ def log_norm_sweep(
     what depends on y once per column.  Every value is computed per sample,
     so results do not depend on the chunking or the thread count.  `shift`
     evaluates at T^shift of each sample point (the grid estimate of the
-    same integral, by measure preservation).
+    same integral, by measure preservation), moved by `exact_orbit_phases`.
     """
     if any(kind not in _KIND_KEY for kind in kinds):
         raise ValueError(f"kind must be one of {KINDS}")
@@ -195,7 +191,7 @@ def log_norm_sweep(
     else:
         x, y = sampler.points()
         step = _CHUNK
-    x, y = _shifted(x, y, shift, m.omega)
+    x, y = exact_orbit_phases(x, y, shift, m.omega) if shift else (x, y)
     chunks = [(i, min(i + step, len(x))) for i in range(0, len(x), step)]
 
     def run(span):
@@ -223,14 +219,13 @@ def sample_log_norms(
     n: int,
     sampler: Sampler,
     kind: str = "plain",
-    shift: int = 0,
     threads: int | None = None,
     budget: float = DEFAULT_WORK_BUDGET,
 ) -> np.ndarray:
     """Per-sample values of (1/n) log||M_n|| for the requested normalization:
     the one-scale view of `log_norm_sweep`."""
-    return log_norm_sweep(m, E, [n], sampler, (kind,), shift=shift,
-                          budget=budget, threads=threads)[n][kind]
+    return log_norm_sweep(m, E, [n], sampler, (kind,), budget=budget,
+                          threads=threads)[n][kind]
 
 
 def lyapunov_estimates(
@@ -240,7 +235,6 @@ def lyapunov_estimates(
     sampler: Sampler,
     kinds: tuple[str, ...] = ("plain",),
     budget: float = DEFAULT_WORK_BUDGET,
-    shift: int = 0,
     threads: int | None = None,
 ) -> dict[int, dict[str, LyapunovEstimate]]:
     """Mean of (1/n) log||M_n|| over the sampler at every scale n in
@@ -251,8 +245,7 @@ def lyapunov_estimates(
     """
     if min(scales, default=1) < 1:
         raise ValueError("n must be positive")
-    u = log_norm_sweep(m, E, scales, sampler, kinds, shift=shift, budget=budget,
-                       threads=threads)
+    u = log_norm_sweep(m, E, scales, sampler, kinds, budget=budget, threads=threads)
     mc = sampler.kind == "mc"
 
     def estimate(n, kind):
@@ -274,13 +267,12 @@ def lyapunov_finite(
     sampler: Sampler,
     kind: str = "plain",
     budget: float = DEFAULT_WORK_BUDGET,
-    shift: int = 0,
     threads: int | None = None,
 ) -> LyapunovEstimate:
     """Mean of (1/n) log||M_n|| over the sampler: the one-scale view of
     `lyapunov_estimates`."""
     return lyapunov_estimates(m, E, [n], sampler, (kind,), budget=budget,
-                              shift=shift, threads=threads)[n][kind]
+                              threads=threads)[n][kind]
 
 
 def lyapunov_profile(

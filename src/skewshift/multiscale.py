@@ -406,9 +406,9 @@ def theorem_mode_run(m: JacobiModel, E_grid: list[float] | None, config: dict,
     if not m.theorem_mode:
         raise RunStageError("admission", ValueError("model is not in theorem mode"))
     E_grid = [float(E) for E in cfg["E_grid"]]
-    if any(abs(E) > m.energy_bound for E in E_grid):
-        raise RunStageError(
-            "admission", ValueError("E grid exceeds the energy bound"))
+    if not E_grid or any(abs(E) > m.energy_bound for E in E_grid):
+        raise RunStageError("admission", ValueError(
+            "E grid must be nonempty and within the energy bound"))
     os.makedirs(output_dir, exist_ok=True)
     os.makedirs(os.path.join(output_dir, "records"), exist_ok=True)
     os.makedirs(os.path.join(output_dir, "tables"), exist_ok=True)

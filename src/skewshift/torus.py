@@ -31,21 +31,6 @@ def mod1_array(z: np.ndarray) -> np.ndarray:
     return z - np.floor(z)
 
 
-def orbit_phases(x, y, j, omega: float):
-    """T^j(x, y) = (x + j*y + j(j-1)/2 * omega, y + j*omega) mod 1 in floats.
-
-    `j` is an integer or an integer array that broadcasts against x and y,
-    e.g. a column of steps for a block of the orbit.  For |j| < 2^53,
-    j(j-1)/2 in floats is one rounding of the exact integer (j and j - 1
-    are exact, halving is exact), so it equals float(j * (j - 1) // 2).
-    The float error of the phases grows like j^2 (see `exact_orbit_phases`
-    for exact phases).
-    """
-    j = np.asarray(j, dtype=np.float64)
-    return (mod1_array(x + j * y + j * (j - 1.0) * 0.5 * omega),
-            mod1_array(y + j * omega))
-
-
 _TWO64 = 2.0**64
 
 

@@ -102,6 +102,28 @@ def test_deviation_cmd(tmp_path, model_path):
     assert all(0 <= r["measure"] <= 1 for r in recs)
 
 
+def test_deviation_zero_threshold_exit_2(model_path, capsys):
+    # an explicit zero threshold is refused, not replaced by the default
+    code = run_cli("deviation", "--model", model_path, "--E", "0",
+                   "--scales", "10", "--grid", "8", "--threshold", "0")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "threshold must be positive"
+
+
+def test_avalanche_model_base(model_path, capsys):
+    # the README line runs; a --base that is not two numbers is refused
+    code = run_cli("avalanche", "--model", model_path, "--E", "0.0",
+                   "--n", "16", "--blocks", "8", "--base", "0.31,0.17")
+    assert code == 0
+    assert "pass" in json.loads(capsys.readouterr().out)
+    for base in ("16", "0.1,0.2,0.3", "0.1,x"):
+        code = run_cli("avalanche", "--model", model_path, "--E", "0.0",
+                       "--blocks", "8", "--base", base)
+        assert code == 2
+        assert "--base" in json.loads(capsys.readouterr().err)["message"]
+
+
 def test_continuity_cmd(tmp_path, model_path):
     out = tmp_path / "cont.json"
     code = run_cli("continuity", "--model", model_path, "--E", "0",
@@ -217,3 +239,14 @@ def test_run_model_path_default_and_relative(tmp_path, model_path):
         assert run_cli("run", "--config", str(cfg_path), "--out", str(out)) == 0
         got = json.loads((out / "model.json").read_text())
         assert got == model_to_dict(want)
+
+
+def test_run_empty_energy_grid_exit_2(tmp_path, capsys):
+    # refused at admission, before the archive directory is made
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"E_grid": []}))
+    out = tmp_path / "archive"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["stage"] == "admission"
+    assert not out.exists()

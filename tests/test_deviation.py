@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skewshift import deviation
+from skewshift.cocycle import f_determinant
 from skewshift.deviation import (
     CASE2_BOUND,
     DeviationError,
@@ -14,7 +15,14 @@ from skewshift.deviation import (
     wilson_interval,
 )
 from skewshift.lyapunov import BudgetError, Sampler, lyapunov_finite
-from skewshift.model import TrigPoly2, default_theorem_model, model_from_dict, model_to_dict
+from skewshift.model import (
+    TrigPoly1,
+    TrigPoly2,
+    default_theorem_model,
+    model_from_dict,
+    model_to_dict,
+)
+from skewshift.torus import TorusPoint, exact_orbit_phases
 
 from conftest import make_model
 
@@ -56,7 +64,8 @@ def test_deviation_refuses_noisy_reference(tame_model):
     with pytest.raises(DeviationError):
         deviation_measure(tame_model, 0.0, 20, 1e-9,
                           Sampler.monte_carlo(500, 2),
-                          ref_sampler=Sampler.monte_carlo(50, 3))
+                          reference=lyapunov_finite(tame_model, 0.0, 20,
+                                                    Sampler.monte_carlo(50, 3)))
 
 
 def test_deviation_sample_budget_refusal(tame_model):
@@ -108,19 +117,33 @@ def test_initial_scale_budget_refusal(theorem_model):
         initial_scale_check(m, 0.0, 10, Sampler.monte_carlo(10**12, 0), budget=1e6)
 
 
-def test_orbit_scan_independent_of_block(theorem_model, monkeypatch):
-    # one-step blocks are the step-by-step scan; blocks of 3, 7 and the
-    # default length (cut short at n) give the same bits, rescales included
-    rng = np.random.default_rng(4)
-    x, y = rng.random(5), rng.random(5)
-    scans = []
-    for block in (5, 15, 35, deviation._BLOCK):
-        monkeypatch.setattr(deviation, "_BLOCK", block)
-        scans.append(deviation._orbit_scan(theorem_model, x, y, 0.3e6, 40))
-    for scan in scans[1:]:
-        for key, val in scan.items():
-            assert val.tobytes() == scans[0][key].tobytes(), key
-    assert np.all(np.isfinite(scans[0]["log_f"]))
+def test_orbit_scan_matches_exact_orbit(theorem_model):
+    # log|f_n| against the f-recurrence product, the sums against per-point
+    # sums over the exact orbit, for the theorem model and one whose a and v
+    # both depend on y
+    y_model = make_model(
+        lam=50.0, a=TrigPoly1(((0, 1.5, 0.0), (1, 0.3, 0.1), (2, 0.0, 0.05))),
+        v=TrigPoly2(((1, 1, 0.5, 0.0, 0.0, 0.3), (0, 2, 0.2, 0.7, 0.0, 0.0),
+                     (1, 0, 0.0, 0.0, 0.4, 0.0))))
+    n = 1000
+    x, y = Sampler.monte_carlo(20, 9).points()
+    for m, E in ((theorem_model, 0.3e6), (y_model, 10.0)):
+        scan = deviation._orbit_scan(m, x, y, E, n)
+        for i, p in enumerate(TorusPoint(a, b) for a, b in zip(x, y)):
+            log_f = f_determinant(m, p, E, n)[0] / n
+            assert scan["log_f"][i] == pytest.approx(log_f, rel=1e-12, abs=0)
+            v = m.v(*exact_orbit_phases(p.x, p.y, np.arange(1, n + 1), m.omega))
+            w = np.abs(v - E / m.lam)
+            want = {"birkhoff": math.fsum(np.log(w)) / n,
+                    "log_det_diag": math.fsum(np.log(np.abs(m.lam * v - E))) / n,
+                    "min_abs_v_shift": float(w.min())}
+            for key, val in want.items():
+                assert scan[key][i] == pytest.approx(val, rel=1e-12, abs=1e-12), key
+
+
+def test_initial_scale_requires_positive_n(theorem_model):
+    with pytest.raises(ValueError, match="n must be positive"):
+        initial_scale_check(theorem_model, 0.0, 0, Sampler.grid(8))
 
 
 def test_initial_scale_requires_large_lambda(tame_model):

@@ -11,7 +11,6 @@ from skewshift.lyapunov import (
     BudgetError,
     LyapunovEstimate,
     Sampler,
-    _shifted,
     almost_invariance_defect,
     counter_uniform,
     log_norm_sweep,
@@ -22,7 +21,7 @@ from skewshift.lyapunov import (
     subadditivity_check,
 )
 from skewshift.model import TrigPoly1, TrigPoly2
-from skewshift.torus import TorusPoint
+from skewshift.torus import TorusPoint, exact_orbit_phases, skew_shift_iterate
 
 from conftest import constant_model, make_model
 
@@ -154,7 +153,7 @@ def test_sweep_matches_separate_sweeps_across_chunks(tame_model, monkeypatch):
     ]
     for m, s, chunk, shift in cases:
         monkeypatch.setattr(lyapunov, "_CHUNK", chunk)
-        x, y = _shifted(*s.points(), shift, m.omega)
+        x, y = exact_orbit_phases(*s.points(), shift, m.omega)
         for threads in (1, 2):
             out = log_norm_sweep(m, 0.2, [5, 0, 2, 5], s, KINDS, shift=shift,
                                  threads=threads)
@@ -165,6 +164,23 @@ def test_sweep_matches_separate_sweeps_across_chunks(tame_model, monkeypatch):
                     want = sep[keys[kind]] / n if n else sep[keys[kind]]
                     assert np.array_equal(out[n][kind], want), (s, shift, n, kind)
             assert np.array_equal(out[0]["plain"], np.zeros(s.total))
+
+
+def test_shifted_sweep_matches_fraction_oracle(theorem_model):
+    # shifted base points come from the exact orbit primitive: bitwise the
+    # kernel at the Fraction closed form of T^shift, far past float range
+    m, E, n = theorem_model, 0.3e6, 8
+    keys = {"plain": "log_norm", "unimodular": "log_norm_u",
+            "a_normalized": "log_norm_a"}
+    for s in (Sampler.grid(8, 6), Sampler.monte_carlo(40, 11)):
+        points = [TorusPoint(x, y) for x, y in zip(*s.points())]
+        for shift in (10**4, 10**6, 10**9):
+            moved = [skew_shift_iterate(p, shift, m.omega) for p in points]
+            want = batched_log_norms(m, np.array([p.x for p in moved]),
+                                     np.array([p.y for p in moved]), E, n)
+            got = log_norm_sweep(m, E, [n], s, KINDS, shift=shift)[n]
+            for kind in KINDS:
+                assert np.array_equal(got[kind], want[keys[kind]] / n), (s, shift, kind)
 
 
 def test_sweep_budget_checked_before_points(tame_model):

@@ -18,7 +18,6 @@ from skewshift.torus import (
     exact_orbit_phases,
     mod1,
     mod1_array,
-    orbit_phases,
     skew_shift,
     skew_shift_iterate,
 )
@@ -42,22 +41,6 @@ def test_mod1_array_is_bitwise_np_mod():
     assert got.tobytes() == want.tobytes()
     assert got[len(edges)] == 0.0 and not np.signbit(got[len(edges)])  # -0.0
     assert [mod1(float(t)) for t in z] == list(want)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-2**52 + 1, 2**52 - 1), min_size=1, max_size=6))
-def test_orbit_phases_match_integer_closed_form(steps):
-    # j(j-1)/2 formed in floats is the once-rounded exact integer, so the
-    # phases are bitwise those of the closed form in Python integers, for a
-    # scalar step and row by row for a column of steps
-    x, y = np.array([0.31, 0.0, 0.999]), np.array([0.17, 0.5, 0.0])
-    rows = orbit_phases(x, y, np.array(steps)[:, None], GOLDEN_MEAN)
-    for i, j in enumerate(steps):
-        want = (mod1_array(x + j * y + (j * (j - 1) // 2) * GOLDEN_MEAN),
-                mod1_array(y + j * GOLDEN_MEAN))
-        for got in (orbit_phases(x, y, j, GOLDEN_MEAN), (rows[0][i], rows[1][i])):
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
 
 
 # floats that are multiples of 2^-64: every float in [2^-11, 1), 0, and
