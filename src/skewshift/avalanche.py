@@ -13,7 +13,7 @@ check works unchanged on cocycle blocks whose norms overflow a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,23 +51,11 @@ class AvalancheReport:
         return self.hyp_det and self.hyp_norm and self.hyp_cancel
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": self.mu if math.isfinite(self.mu) else None,
-            "log_mu": self.log_mu,
-            "hyp_det": self.hyp_det,
-            "hyp_norm": self.hyp_norm,
-            "hyp_cancel": self.hyp_cancel,
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "pass": self.passed,
-            "log_norm_product": self.log_norm_product,
-            "sum_log_middle": self.sum_log_middle,
-            "sum_log_pairwise": self.sum_log_pairwise,
-            "max_pairwise_defect": self.max_pairwise_defect,
-            "min_log_norm": self.min_log_norm,
-            "max_log_det": self.max_log_det,
-        }
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        if not math.isfinite(self.mu):
+            d["mu"] = None
+        return d
 
 
 def _coerce(a) -> LogScaledMatrix:

@@ -20,6 +20,8 @@ import numpy as np
 from .avalanche import avalanche_check, avalanche_on_cocycle
 from .deviation import DeviationError, deviation_measure, initial_scale_check
 from .lyapunov import (
+    DEFAULT_WORK_BUDGET,
+    KINDS,
     BudgetError,
     Sampler,
     counter_uniform,
@@ -188,7 +190,7 @@ def cmd_run(args) -> int:
     else:
         m = default_theorem_model()
     out_dir = args.out or cfg.get("output_dir") or "archive"
-    theorem_mode_run(m, None, cfg, out_dir, threads=_threads(args))
+    theorem_mode_run(m, cfg, out_dir, threads=_threads(args))
     _emit({"archive": out_dir}, None)
     return EXIT_OK
 
@@ -286,13 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="skewshift", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
-        if model:
-            sp.add_argument("--model", required=False)
+    def common(sp):
+        sp.add_argument("--model", required=False)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--budget", type=float, default=1e10)
+        sp.add_argument("--budget", type=float, default=DEFAULT_WORK_BUDGET)
 
     sp = sub.add_parser("diophantine", help="Diophantine frequency scan")
     sp.add_argument("--omega", type=float, required=True)
@@ -307,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scales", required=True)
     sp.add_argument("--mc", default=None)
     sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--kind", default="plain",
-                    choices=["plain", "unimodular", "a_normalized"])
+    sp.add_argument("--kind", default="plain", choices=KINDS)
     sp.set_defaults(fn=cmd_lyapunov)
 
     sp = sub.add_parser("deviation", help="large-deviation measure")
@@ -319,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threshold", type=float, default=None)
     sp.add_argument("--mc", default=None)
     sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--kind", default="plain",
-                    choices=["plain", "unimodular", "a_normalized"])
+    sp.add_argument("--kind", default="plain", choices=KINDS)
     sp.set_defaults(fn=cmd_deviation)
 
     sp = sub.add_parser("avalanche", help="avalanche-principle check")

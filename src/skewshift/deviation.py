@@ -10,7 +10,7 @@ and the sublevel-measure (Lojasiewicz) probe for nonconstant potentials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,11 @@ class DeviationError(RuntimeError):
         )
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion k/n."""
     if n <= 0:
         raise ValueError("n must be positive")
+    z = 1.959963984540054  # two-sided 95% normal quantile
     p = k / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -68,17 +69,10 @@ class DeviationReport:
     kind: str
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "E": self.E,
-            "threshold": self.threshold,
-            "measure": self.empirical_measure,
-            "ci_lo": self.wilson[0],
-            "ci_hi": self.wilson[1],
-            "samples": self.samples,
-            "kind": self.kind,
-            "reference": self.reference.to_json(),
-        }
+        d = asdict(self)
+        d["measure"] = d.pop("empirical_measure")
+        d["ci_lo"], d["ci_hi"] = d.pop("wilson")
+        return d
 
 
 def deviation_measure(
@@ -168,7 +162,6 @@ class InitialScaleReport:
     birkhoff_min: float | None = None
     diag_identity_residual: float | None = None
     dinv_b_measure: float | None = None
-    dinv_b_wilson: tuple[float, float] | None = None
     f_dev_measure: float | None = None
     f_dev_threshold: float | None = None
     deviation: DeviationReport | None = None
@@ -180,23 +173,8 @@ class InitialScaleReport:
     fitted_constants: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        d = {
-            "n": self.n, "E": self.E, "S": self.S,
-            "log_lambda": self.log_lambda, "case": self.case,
-            "samples": self.samples,
-            "birkhoff_mean": self.birkhoff_mean,
-            "birkhoff_min": self.birkhoff_min,
-            "diag_identity_residual": self.diag_identity_residual,
-            "dinv_b_measure": self.dinv_b_measure,
-            "f_dev_measure": self.f_dev_measure,
-            "f_dev_threshold": self.f_dev_threshold,
-            "deviation_paper_bound": self.deviation_paper_bound,
-            "case2_max_dev": self.case2_max_dev,
-            "case2_bound": self.case2_bound,
-            "case2_violations": self.case2_violations,
-            "fitted_constants": self.fitted_constants,
-        }
-        if self.deviation is not None:
+        d = asdict(self)
+        if d.pop("deviation") is not None:  # case 2 records carry no deviation
             d["deviation"] = self.deviation.to_json()
         return d
 
@@ -257,7 +235,6 @@ def initial_scale_check(
         birkhoff_min=float(np.min(scan["birkhoff"])),
         diag_identity_residual=residual,
         dinv_b_measure=k_dinv / x.size,
-        dinv_b_wilson=wilson_interval(k_dinv, x.size),
         f_dev_measure=k_f / x.size,
         f_dev_threshold=thresh,
         deviation=dev,
@@ -280,19 +257,9 @@ class LojasiewiczProbe:
     fits: list[LojasiewiczFit]
     table: list[tuple[float, float, float]]  # (h, t, measure)
 
-    def fit_for(self, h: float) -> LojasiewiczFit:
-        for f in self.fits:
-            if f.h == h:
-                return f
-        raise KeyError(h)
-
     def to_json(self) -> dict:
         return {
-            "fits": [
-                {"h": f.h, "C": f.C, "b": f.b, "residual_rms": f.residual_rms,
-                 "degenerate": f.degenerate}
-                for f in self.fits
-            ],
+            "fits": [asdict(f) for f in self.fits],
             "table": [{"h": h, "t": t, "measure": mm} for h, t, mm in self.table],
         }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -131,16 +131,7 @@ class LyapunovEstimate:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "E": self.E,
-            "value": self.value,
-            "std_error": self.std_error,
-            "sampler": self.sampler,
-            "model_hash": self.model_hash,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def env_threads() -> int | None:

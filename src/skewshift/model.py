@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .torus import Frequency, TorusPoint
+from .torus import Frequency
 
 TWO_PI = 2.0 * math.pi
 
@@ -246,12 +246,6 @@ class JacobiModel:
     @property
     def omega(self) -> float:
         return self.frequency.omega
-
-    def eval_a(self, y: float) -> float:
-        return self.a.eval_scalar(y)
-
-    def eval_v(self, p: TorusPoint) -> float:
-        return self.v.eval_scalar(p.x, p.y)
 
     def scaling_factor(self, E: float) -> float:
         """S(lambda, E) = log(C + lambda + |E|), >= 1 by the admission rule."""

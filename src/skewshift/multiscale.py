@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -40,6 +40,7 @@ from .model import JacobiModel, model_to_dict
 from .torus import diophantine_check
 
 DEFAULT_C0 = 20.0
+LDT_PROXY_BOUND = 0.05  # sampled stand-in for the paper's N^{-10}
 
 
 class EstimatorNoiseError(RuntimeError):
@@ -63,13 +64,7 @@ class ScaleSchedule:
     overlap_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "n0": self.n0,
-            "sigma": self.sigma,
-            "threshold_ok": self.threshold_ok,
-            "ranges": [[lo, hi] for lo, hi in self.ranges],
-            "overlap_ok": self.overlap_ok,
-        }
+        return asdict(self)
 
 
 def scale_schedule(n0: int, sigma: float) -> ScaleSchedule:
@@ -120,26 +115,8 @@ class InductionRecord:
                 and self.hyp_gap and self.hyp_arith)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "N": self.N, "gamma": self.gamma, "S": self.S,
-            "L_n_u": self.L_n_u.to_json(),
-            "L_2n_u": self.L_2n_u.to_json(),
-            "L_N_u": self.L_N_u.to_json(),
-            "L_2N_u": self.L_2N_u.to_json(),
-            "hyp_ldt_n": self.hyp_ldt_n.to_json(),
-            "hyp_ldt_2n": self.hyp_ldt_2n.to_json(),
-            "ldt_paper_bound": self.ldt_paper_bound,
-            "ldt_proxy_bound": self.ldt_proxy_bound,
-            "hyp_ldt_n_ok": self.hyp_ldt_n_ok,
-            "hyp_ldt_2n_ok": self.hyp_ldt_2n_ok,
-            "hyp_min_L": self.hyp_min_L,
-            "hyp_gap": self.hyp_gap,
-            "hyp_arith": self.hyp_arith,
-            "C0": self.C0,
-            "concl_lower": self.concl_lower,
-            "concl_gap": self.concl_gap,
-            "C0_fit": self.C0_fit,
-        }
+        return {**asdict(self), "hyp_ldt_n": self.hyp_ldt_n.to_json(),
+                "hyp_ldt_2n": self.hyp_ldt_2n.to_json()}
 
 
 def arithmetic_hypothesis(gamma: float, S: float, n: int, N: int) -> bool:
@@ -154,8 +131,6 @@ def induction_steps(
     gamma: float,
     sampler: Sampler,
     deviation_sampler: Sampler | None = None,
-    C0: float = DEFAULT_C0,
-    ldt_proxy_bound: float = 0.05,
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> list[InductionRecord]:
@@ -163,12 +138,12 @@ def induction_steps(
     every pair's four Lyapunov scales n, 2n, N, 2N from one sweep (to the
     largest 2N), measure the two deviation hypotheses once per distinct
     scale, check every hypothesis, and fit the smallest constant making
-    both conclusions hold.  One record per pair, in order.
+    both conclusions hold at DEFAULT_C0.  One record per pair, in order.
 
     Every pair is validated before the sweep, which is charged against
     `budget` as one job.  The paper-level deviation bound N^{-10} is
     unreachable by sampling; the hypothesis booleans compare the Wilson
-    upper bound against `ldt_proxy_bound` instead, and both numbers are
+    upper bound against LDT_PROXY_BOUND instead, and both numbers are
     recorded.
     """
     pairs = [(int(n), int(N)) for n, N in pairs]
@@ -201,8 +176,8 @@ def induction_steps(
         L_n, L_2n = ests[n].value, ests[2 * n].value
         L_N, L_2N = ests[N].value, ests[2 * N].value
         gap_small = L_n - L_2n
-        concl_lower = L_N - (gamma * S - 2.0 * gap_small - C0 * S * n / N)
-        concl_gap = C0 * S * n / N - (L_N - L_2N)
+        concl_lower = L_N - (gamma * S - 2.0 * gap_small - DEFAULT_C0 * S * n / N)
+        concl_gap = DEFAULT_C0 * S * n / N - (L_N - L_2N)
         c1 = (gamma * S - 2.0 * gap_small - L_N) * N / (S * n)
         c2 = (L_N - L_2N) * N / (S * n)
         records.append(InductionRecord(
@@ -210,13 +185,13 @@ def induction_steps(
             L_n_u=ests[n], L_2n_u=ests[2 * n], L_N_u=ests[N], L_2N_u=ests[2 * N],
             hyp_ldt_n=dev_n, hyp_ldt_2n=dev_2n,
             ldt_paper_bound=float(N) ** -10,
-            ldt_proxy_bound=ldt_proxy_bound,
-            hyp_ldt_n_ok=dev_n.wilson[1] <= ldt_proxy_bound,
-            hyp_ldt_2n_ok=dev_2n.wilson[1] <= ldt_proxy_bound,
+            ldt_proxy_bound=LDT_PROXY_BOUND,
+            hyp_ldt_n_ok=dev_n.wilson[1] <= LDT_PROXY_BOUND,
+            hyp_ldt_2n_ok=dev_2n.wilson[1] <= LDT_PROXY_BOUND,
             hyp_min_L=min(L_n, L_2n) >= gamma * S,
             hyp_gap=gap_small <= gamma * S / 40.0,
             hyp_arith=arithmetic_hypothesis(gamma, S, n, N),
-            C0=C0, concl_lower=concl_lower, concl_gap=concl_gap,
+            C0=DEFAULT_C0, concl_lower=concl_lower, concl_gap=concl_gap,
             C0_fit=max(0.0, c1, c2),
         ))
     return records
@@ -230,16 +205,13 @@ def induction_step(
     gamma: float,
     sampler: Sampler,
     deviation_sampler: Sampler | None = None,
-    C0: float = DEFAULT_C0,
-    ldt_proxy_bound: float = 0.05,
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> InductionRecord:
     """One induction step (four Lyapunov scales from one sweep to 2N): the
     one-pair view of `induction_steps`."""
     return induction_steps(m, E, [(n, N)], gamma, sampler, deviation_sampler,
-                           C0=C0, ldt_proxy_bound=ldt_proxy_bound, budget=budget,
-                           threads=threads)[0]
+                           budget=budget, threads=threads)[0]
 
 
 @dataclass(frozen=True)
@@ -262,18 +234,7 @@ class ContinuityProbe:
     sigma: float
 
     def to_json(self) -> dict:
-        return {
-            "E_center": self.E_center, "N": self.N, "sigma": self.sigma,
-            "loghoelder_C": self.loghoelder_C,
-            "loghoelder_c": self.loghoelder_c,
-            "loghoelder_residual": self.loghoelder_residual,
-            "rows": [
-                {"delta": r.delta, "dL": r.dL,
-                 "lipschitz_log_bound": r.lipschitz_log_bound,
-                 "hard_ok": r.hard_ok, "dL_proxy": r.dL_proxy}
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def continuity_probe(
@@ -283,7 +244,6 @@ def continuity_probe(
     N: int,
     s: Sampler,
     sigma: float = 1.0 / 25.0,
-    scales: list[int] | None = None,
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> ContinuityProbe:
@@ -292,15 +252,14 @@ def continuity_probe(
     The finite-scale bound |dL| <= base^N * delta (base dominating every
     one-step factor norm) is a pointwise algebraic consequence on matched
     samples and is asserted via `hard_ok`.  The log-Hoelder form is fitted
-    against the running-infimum proxy of L over `scales` and reported, not
-    asserted.  Each energy takes one sweep covering N and `scales`.
+    against the running-infimum proxy of L over the scales N/4, N/2 and N
+    and reported, not asserted.  Each energy takes one sweep covering them.
     """
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
     if sorted(deltas, reverse=True) != list(deltas):
         raise ValueError("deltas must be descending")
-    if scales is None:
-        scales = sorted({max(2, N // 4), max(3, N // 2), N})
+    scales = sorted({max(2, N // 4), max(3, N // 2), N})
     log_base = math.log(m.lipschitz_base)
 
     def estimate(E):  # (the L_N estimate, the proxy) at energy E
@@ -391,8 +350,8 @@ def _dump_csv(rows, header, path):
         w.writerows(rows)
 
 
-def theorem_mode_run(m: JacobiModel, E_grid: list[float] | None, config: dict,
-                     output_dir: str, threads: int | None = None) -> dict:
+def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
+                     threads: int | None = None) -> dict:
     """Run the full pipeline and emit a self-contained archive directory.
 
     Layout: config.json, model.json, records/*.jsonl, tables/*.csv, and a
@@ -401,21 +360,12 @@ def theorem_mode_run(m: JacobiModel, E_grid: list[float] | None, config: dict,
     everywhere else).
     """
     cfg = resolve_config(config)
-    if E_grid is not None:
-        cfg["E_grid"] = list(E_grid)
     if not m.theorem_mode:
         raise RunStageError("admission", ValueError("model is not in theorem mode"))
     E_grid = [float(E) for E in cfg["E_grid"]]
     if not E_grid or any(abs(E) > m.energy_bound for E in E_grid):
         raise RunStageError("admission", ValueError(
             "E grid must be nonempty and within the energy bound"))
-    os.makedirs(output_dir, exist_ok=True)
-    os.makedirs(os.path.join(output_dir, "records"), exist_ok=True)
-    os.makedirs(os.path.join(output_dir, "tables"), exist_ok=True)
-    budget = cfg["work_budget"]
-    seed = cfg["seed"]
-    mc = Sampler.monte_carlo(cfg["mc_samples"], seed)
-    grid = Sampler.grid(cfg["grid"])
 
     def stage(name, fn):
         try:
@@ -423,17 +373,24 @@ def theorem_mode_run(m: JacobiModel, E_grid: list[float] | None, config: dict,
         except Exception as exc:  # noqa: BLE001 - stage name must propagate
             raise RunStageError(name, exc) from exc
 
-    # frequency admission
+    # frequency admission, refused before any archive directory is made
     freq_rec = stage("diophantine", lambda: dict(zip(
         ("passes", "worst_n", "worst_margin"),
         diophantine_check(m.frequency, cfg["diophantine_nmax"]),
     )))
-    _dump_json({"diophantine": freq_rec, "schedule":
-                scale_schedule(cfg["n0"], cfg["sigma"]).to_json()},
-               os.path.join(output_dir, "records", "admission.json"))
     if not freq_rec["passes"]:
         raise RunStageError("admission", ValueError(
             f"frequency fails the Diophantine scan at n={freq_rec['worst_n']}"))
+    os.makedirs(output_dir, exist_ok=True)
+    os.makedirs(os.path.join(output_dir, "records"), exist_ok=True)
+    os.makedirs(os.path.join(output_dir, "tables"), exist_ok=True)
+    budget = cfg["work_budget"]
+    seed = cfg["seed"]
+    mc = Sampler.monte_carlo(cfg["mc_samples"], seed)
+    grid = Sampler.grid(cfg["grid"])
+    _dump_json({"diophantine": freq_rec, "schedule":
+                scale_schedule(cfg["n0"], cfg["sigma"]).to_json()},
+               os.path.join(output_dir, "records", "admission.json"))
 
     # Lyapunov profiles, all three normalizations per scale
     lyap_records = []

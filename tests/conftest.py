@@ -27,6 +27,14 @@ def tame_model():
     return model_from_dict(d)
 
 
+# the keys of the archived records, pinned so that a new dataclass field
+# cannot slip into the archive unnoticed
+ESTIMATE_KEYS = {"n", "kind", "E", "value", "std_error", "sampler", "model_hash",
+                 "seed"}
+DEVIATION_KEYS = {"n", "E", "threshold", "measure", "ci_lo", "ci_hi", "samples",
+                  "kind", "reference"}
+
+
 def make_model(lam=2.0, a=None, v=None, omega=GOLDEN_MEAN, epsilon=0.05,
                theorem_mode=False):
     if a is None:

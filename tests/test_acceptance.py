@@ -242,7 +242,7 @@ def test_criterion_12_determinism(tmp_path, monkeypatch):
     for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
         monkeypatch.setenv("SKEWSHIFT_THREADS", threads)
         out = tmp_path / tag
-        theorem_mode_run(m, None, cfg, str(out))
+        theorem_mode_run(m, cfg, str(out))
         blobs = {}
         for root, _, files in os.walk(out):
             for name in sorted(files):

@@ -14,6 +14,11 @@ from skewshift.torus import TorusPoint
 
 from conftest import make_model
 
+AVALANCHE_KEYS = {"n", "mu", "log_mu", "hyp_det", "hyp_norm", "hyp_cancel", "lhs",
+                  "bound", "pass", "log_norm_product", "sum_log_middle",
+                  "sum_log_pairwise", "max_pairwise_defect", "min_log_norm",
+                  "max_log_det"}
+
 
 def test_diagonal_family_exact_cancellation():
     mu = 1e4
@@ -75,14 +80,18 @@ def test_log_mu_overflow_safe():
     assert rep.mu is None or not math.isfinite(rep.mu) or rep.mu > 0
     assert rep.bound >= 0.0
     assert math.isfinite(rep.lhs)
+    d = rep.to_json()
+    assert set(d) == AVALANCHE_KEYS
+    assert d["mu"] is None and d["log_mu"] == 2000.0
 
 
 def test_report_json_roundtrip():
     rep = avalanche_check(_demo_matrices("diag", 100.0, 5, 0), mu=100.0)
     d = rep.to_json()
+    assert set(d) == AVALANCHE_KEYS
     assert d["n"] == 5
     assert d["pass"] is True
-    assert "lhs" in d and "bound" in d
+    assert d["mu"] == 100.0
 
 
 def test_cocycle_blocks_shapes(theorem_model):

@@ -104,10 +104,10 @@ def test_orbit_values_track_iterates(tame_model):
     a_vals, v_vals = orbit_values(m, p, 6)
     for j in range(1, 7):
         q = skew_shift_iterate(p, j, m.omega)
-        assert a_vals[j] == pytest.approx(m.eval_a(q.y), abs=1e-12)
-        assert v_vals[j] == pytest.approx(m.eval_v(q), abs=1e-12)
+        assert a_vals[j] == pytest.approx(m.a.eval_scalar(q.y), abs=1e-12)
+        assert v_vals[j] == pytest.approx(m.v.eval_scalar(q.x, q.y), abs=1e-12)
     q7 = skew_shift_iterate(p, 7, m.omega)
-    assert a_vals[7] == pytest.approx(m.eval_a(q7.y), abs=1e-12)
+    assert a_vals[7] == pytest.approx(m.a.eval_scalar(q7.y), abs=1e-12)
 
 
 # ---------------------------------------------------------------- products

@@ -24,7 +24,13 @@ from skewshift.model import (
 )
 from skewshift.torus import TorusPoint, exact_orbit_phases
 
-from conftest import make_model
+from conftest import DEVIATION_KEYS, ESTIMATE_KEYS, make_model
+
+INITIAL_SCALE_KEYS = {"n", "E", "S", "log_lambda", "case", "samples",
+                      "birkhoff_mean", "birkhoff_min", "diag_identity_residual",
+                      "dinv_b_measure", "f_dev_measure", "f_dev_threshold",
+                      "deviation_paper_bound", "case2_max_dev", "case2_bound",
+                      "case2_violations", "fitted_constants"}
 
 
 def test_wilson_interval_basics():
@@ -78,8 +84,11 @@ def test_deviation_sample_budget_refusal(tame_model):
 def test_deviation_json(tame_model):
     rep = deviation_measure(tame_model, 0.0, 10, 0.5, Sampler.grid(16))
     d = rep.to_json()
+    assert set(d) == DEVIATION_KEYS
+    assert set(d["reference"]) == ESTIMATE_KEYS
     assert d["n"] == 10
-    assert "ci_lo" in d and "ci_hi" in d
+    assert d["measure"] == rep.empirical_measure
+    assert (d["ci_lo"], d["ci_hi"]) == rep.wilson
 
 
 def test_case2_uniform_regime(theorem_model):
@@ -98,6 +107,10 @@ def test_initial_scale_case_split(theorem_model):
                                Sampler.grid(16))
     assert rep2.case == 2
     assert rep2.case2_violations == 0
+    d1, d2 = rep1.to_json(), rep2.to_json()
+    assert set(d1) == INITIAL_SCALE_KEYS | {"deviation"}
+    assert set(d1["deviation"]) == DEVIATION_KEYS
+    assert set(d2) == INITIAL_SCALE_KEYS  # case 2 records carry no deviation
 
 
 def test_initial_scale_diag_identity(theorem_model):
@@ -175,4 +188,7 @@ def test_lojasiewicz_json():
     probe = lojasiewicz_probe(TrigPoly2.cos_x(), [0.0], [0.1, 0.01],
                               Sampler.grid(64))
     d = probe.to_json()
-    assert "fits" in d and "table" in d
+    assert set(d) == {"fits", "table"}
+    assert [set(f) for f in d["fits"]] == [{"h", "C", "b", "residual_rms", "degenerate"}]
+    assert d["table"] == [{"h": 0.0, "t": t, "measure": mm}
+                          for _, t, mm in probe.table]

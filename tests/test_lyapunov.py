@@ -23,7 +23,7 @@ from skewshift.lyapunov import (
 from skewshift.model import TrigPoly1, TrigPoly2
 from skewshift.torus import TorusPoint, exact_orbit_phases, skew_shift_iterate
 
-from conftest import constant_model, make_model
+from conftest import ESTIMATE_KEYS, constant_model, make_model
 
 
 def test_counter_uniform_deterministic():
@@ -252,6 +252,7 @@ def test_multi_sweep_checks_refuse_over_budget(tame_model):
 def test_estimate_to_json(tame_model):
     est = lyapunov_finite(tame_model, 0.1, 5, Sampler.grid(4))
     rec = est.to_json()
+    assert set(rec) == ESTIMATE_KEYS
     assert rec["n"] == 5
     assert rec["value"] == est.value
     assert rec["model_hash"] == tame_model.model_hash

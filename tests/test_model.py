@@ -225,4 +225,4 @@ def test_hash_sensitive_to_lambda():
 def test_constant_model_admitted():
     m = constant_model(a0=1.0, v0=0.0, lam=0.0)
     assert m.log_avg_a == pytest.approx(0.0)
-    assert m.eval_a(0.42) == 1.0
+    assert m.a.eval_scalar(0.42) == 1.0

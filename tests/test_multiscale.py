@@ -23,7 +23,7 @@ from skewshift.multiscale import (
     write_manifest,
 )
 
-from conftest import make_model
+from conftest import DEVIATION_KEYS, ESTIMATE_KEYS, make_model
 
 
 def test_scale_schedule_shapes():
@@ -36,6 +36,8 @@ def test_scale_schedule_shapes():
     # at desk scale both asymptotic admissibility conditions fail honestly
     assert not sched.threshold_ok
     assert not sched.overlap_ok
+    d = sched.to_json()
+    assert set(d) == {"n0", "sigma", "threshold_ok", "ranges", "overlap_ok"}
 
 
 def test_scale_schedule_asymptotic_regime():
@@ -83,6 +85,15 @@ def test_induction_step_runs(theorem_model):
     assert rec.concl_gap >= 0.0
     assert rec.C0_fit <= rec.C0
     assert rec.L_N_u.value > 0.25 * math.log(1e6)
+    d = rec.to_json()
+    assert set(d) == {"n", "N", "gamma", "S", "L_n_u", "L_2n_u", "L_N_u", "L_2N_u",
+                      "hyp_ldt_n", "hyp_ldt_2n", "ldt_paper_bound", "ldt_proxy_bound",
+                      "hyp_ldt_n_ok", "hyp_ldt_2n_ok", "hyp_min_L", "hyp_gap",
+                      "hyp_arith", "C0", "concl_lower", "concl_gap", "C0_fit"}
+    for key in ("L_n_u", "L_2n_u", "L_N_u", "L_2N_u"):
+        assert set(d[key]) == ESTIMATE_KEYS
+    for key in ("hyp_ldt_n", "hyp_ldt_2n"):
+        assert set(d[key]) == DEVIATION_KEYS
 
 
 def test_induction_repeated_scale_matches_separate(theorem_model):
@@ -151,6 +162,11 @@ def test_continuity_probe_hard_bound(theorem_model):
         assert math.log(max(row.dL, 1e-300)) <= row.lipschitz_log_bound + 1e-8
     # |dL| shrinks with |dE|
     assert probe.rows[-1].dL <= probe.rows[0].dL + 1e-12
+    d = probe.to_json()
+    assert set(d) == {"E_center", "N", "sigma", "loghoelder_C", "loghoelder_c",
+                      "loghoelder_residual", "rows"}
+    assert [set(r) for r in d["rows"]] == [
+        {"delta", "dL", "lipschitz_log_bound", "hard_ok", "dL_proxy"}] * 3
 
 
 def test_continuity_budget_refusal(theorem_model):
@@ -199,7 +215,7 @@ def run_model():
 
 def test_theorem_mode_run_archive(tmp_path, run_model, small_cfg):
     out = tmp_path / "arch"
-    theorem_mode_run(run_model, None, small_cfg, str(out))
+    theorem_mode_run(run_model, small_cfg, str(out))
     for rel in ["MANIFEST", "config.json", "model.json",
                 "records/admission.json", "records/lyapunov.jsonl",
                 "records/induction.jsonl", "records/deviation.jsonl",
@@ -213,8 +229,8 @@ def test_theorem_mode_run_archive(tmp_path, run_model, small_cfg):
 def test_theorem_mode_run_deterministic(tmp_path, run_model, small_cfg):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    theorem_mode_run(run_model, None, small_cfg, str(a))
-    theorem_mode_run(run_model, None, small_cfg, str(b))
+    theorem_mode_run(run_model, small_cfg, str(a))
+    theorem_mode_run(run_model, small_cfg, str(b))
     for root, _, files in os.walk(a):
         for name in files:
             if name == "MANIFEST":
@@ -229,8 +245,9 @@ def test_run_stage_error_carries_stage(tmp_path, run_model, small_cfg):
     bad_model_dict["omega"] = 0.5  # rational frequency: Diophantine scan fails
     bad_model = model_from_dict(bad_model_dict)
     with pytest.raises(RunStageError) as ei:
-        theorem_mode_run(bad_model, None, small_cfg, str(tmp_path / "bad"))
+        theorem_mode_run(bad_model, small_cfg, str(tmp_path / "bad"))
     assert ei.value.stage == "admission"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_write_manifest_hashes(tmp_path):
