@@ -8,7 +8,7 @@ CLI front end (``skewshift``).
 
 from .torus import TorusPoint, Frequency, skew_shift, skew_shift_iterate
 from .model import TrigPoly1, TrigPoly2, JacobiModel, derive_constants, load_model
-from .cocycle import LogScaledMatrix, CocycleProduct, fundamental_matrix
+from .cocycle import CocycleProduct, fundamental_matrix
 from .lyapunov import Sampler, LyapunovEstimate, lyapunov_finite, lyapunov_profile
 from .avalanche import AvalancheReport, avalanche_check, avalanche_on_cocycle
 from .deviation import DeviationReport, deviation_measure, lojasiewicz_probe
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TorusPoint", "Frequency", "skew_shift", "skew_shift_iterate",
     "TrigPoly1", "TrigPoly2", "JacobiModel", "derive_constants", "load_model",
-    "LogScaledMatrix", "CocycleProduct", "fundamental_matrix",
+    "CocycleProduct", "fundamental_matrix",
     "Sampler", "LyapunovEstimate", "lyapunov_finite", "lyapunov_profile",
     "AvalancheReport", "avalanche_check", "avalanche_on_cocycle",
     "DeviationReport", "deviation_measure", "lojasiewicz_probe",

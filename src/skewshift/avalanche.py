@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cocycle import LogScaledMatrix, normalize_unimodular, orbit_product
+from .cocycle import CocycleProduct, _tree_fold, _log_unit_norm, normalize_unimodular, orbit_product
 # fundamental_matrix and skew_shift_iterate stay in this namespace, where
 # perfbench/tracing.py looks them up
 from .cocycle import fundamental_matrix  # noqa: F401
@@ -58,27 +58,19 @@ class AvalancheReport:
         return d
 
 
-def _coerce(a) -> LogScaledMatrix:
-    if isinstance(a, LogScaledMatrix):
-        return a
-    return LogScaledMatrix.from_matrix(np.asarray(a, dtype=np.float64))
-
-
 def avalanche_check(matrices, mu: float | None = None, C: float = DEFAULT_C,
-                    log_mu: float | None = None,
-                    log_dets=None) -> AvalancheReport:
+                    log_mu: float | None = None) -> AvalancheReport:
     """Evaluate the hypotheses and the conclusion combination for a sequence.
 
-    Either mu or log_mu must be given (log_mu wins when both are present;
-    it keeps astronomically large thresholds representable).  n = 2 is the
-    degenerate case where the middle sum is empty and the combination
-    telescopes to 0.  `log_dets` supplies exact per-factor log|det| values
-    when the caller has them; the determinant of a strongly hyperbolic unit
-    matrix cancels below float precision, so recomputing it from entries is
-    not an option for cocycle blocks.
+    `matrices` is a `CocycleProduct` stack A_1, ..., A_n or raw 2x2
+    matrices (see `CocycleProduct.from_matrices`).  Either mu or log_mu must
+    be given (log_mu wins; it keeps astronomically large thresholds
+    representable).  n = 2 is the degenerate case where the middle sum is
+    empty and the combination telescopes to 0.  The pairs A_{j+1} A_j are one
+    batched multiply, the full product a `_tree_fold` in log depth.
     """
-    mats = [_coerce(a) for a in matrices]
-    n = len(mats)
+    c = matrices if isinstance(matrices, CocycleProduct) else CocycleProduct.from_matrices(matrices)
+    n = np.size(c.log_scale)
     if n < 2:
         raise ValueError("need at least 2 matrices")
     if log_mu is None:
@@ -88,25 +80,16 @@ def avalanche_check(matrices, mu: float | None = None, C: float = DEFAULT_C,
     if mu is None:
         mu = math.exp(log_mu) if log_mu < 700 else math.inf
 
-    log_norms = np.array([a.log_norm2 for a in mats])
-    if log_dets is None:
-        log_dets = np.array([a.log_det for a in mats])
-    else:
-        log_dets = np.asarray(log_dets, dtype=np.float64)
-        if log_dets.shape != (n,):
-            raise ValueError("log_dets must have one entry per matrix")
-    pair_log_norms = np.array(
-        [(mats[j + 1] @ mats[j]).log_norm2 for j in range(n - 1)]
-    )
-    full = mats[0]
-    for a in mats[1:]:
-        full = a @ full
-    log_norm_product = full.log_norm2
+    log_norms = c.log_norm
+    pair_log_norms = CocycleProduct.from_matrices(
+        c.unit[1:] @ c.unit[:-1], c.log_scale[1:] + c.log_scale[:-1]).log_norm
+    unit, log_scale = _tree_fold(c.unit.reshape(n, 4, 1), c.log_scale.reshape(n, 1))
+    log_norm_product = float(log_scale[0] + _log_unit_norm(*unit[:, 0]))
 
     defects = log_norms[1:] + log_norms[:-1] - pair_log_norms
     max_defect = float(np.max(defects))
     min_log_norm = float(np.min(log_norms))
-    max_log_det = float(np.max(log_dets))
+    max_log_det = float(np.max(c.log_det))
 
     tol = 1e-12 * max(1.0, abs(log_mu))
     hyp_det = max_log_det <= _DET_TOL
@@ -122,7 +105,7 @@ def avalanche_check(matrices, mu: float | None = None, C: float = DEFAULT_C,
         n=n, mu=float(mu), log_mu=float(log_mu),
         hyp_det=hyp_det, hyp_norm=hyp_norm, hyp_cancel=hyp_cancel,
         lhs=lhs, bound=bound, passed=passed,
-        log_norm_product=float(log_norm_product),
+        log_norm_product=log_norm_product,
         sum_log_middle=sum_middle, sum_log_pairwise=sum_pairwise,
         max_pairwise_defect=max_defect, min_log_norm=min_log_norm,
         max_log_det=max_log_det,
@@ -130,8 +113,9 @@ def avalanche_check(matrices, mu: float | None = None, C: float = DEFAULT_C,
 
 
 def cocycle_blocks(m: JacobiModel, base: TorusPoint, E: float, n: int,
-                   count: int) -> list[LogScaledMatrix]:
-    """Unimodular n-step blocks M_n^u at base points shifted by T^{(j-1)n}.
+                   count: int) -> CocycleProduct:
+    """The stack of unimodular n-step blocks M_n^u at base points shifted by
+    T^{(j-1)n}, j = 1..count.
 
     The block starts T^{(j-1)n}(base) come from `exact_orbit_phases`, and
     one `orbit_product` call sweeps all blocks together, so the blocks lie
@@ -140,8 +124,7 @@ def cocycle_blocks(m: JacobiModel, base: TorusPoint, E: float, n: int,
     within the first block that meets |a| < 1.
     """
     x, y = exact_orbit_phases(base.x, base.y, np.arange(count) * n, m.omega)
-    p = orbit_product(m, x, y, E, n)
-    return [normalize_unimodular(p.cocycle(j)).m for j in range(count)]
+    return normalize_unimodular(orbit_product(m, x, y, E, n)[0])
 
 
 def avalanche_on_cocycle(
@@ -161,7 +144,4 @@ def avalanche_on_cocycle(
         raise ValueError("need at least 2 blocks")
     S = m.scaling_factor(E)
     log_mu = 0.9 * gamma * n * S
-    mats = cocycle_blocks(m, base, E, n, blocks)
-    # blocks are unimodular by construction; their log-dets are exactly 0
-    return avalanche_check(mats, C=C, log_mu=log_mu,
-                           log_dets=np.zeros(blocks))
+    return avalanche_check(cocycle_blocks(m, base, E, n, blocks), C=C, log_mu=log_mu)

@@ -144,6 +144,9 @@ def cmd_avalanche(args) -> int:
         except ValueError:
             raise ValueError(f"--base must be two numbers x,y, got {args.base!r}") from None
         m = load_model(args.model)
+        steps = float(args.n) * args.blocks
+        if steps > args.budget:
+            raise BudgetError(steps, args.budget)
         rep = avalanche_on_cocycle(m, TorusPoint(bx, by), args.E, args.n,
                                    args.blocks, gamma=args.gamma, C=args.C)
     _emit(rep.to_json(), args.out)

@@ -6,9 +6,9 @@ Conventions (base point (x, y) fixed):
     A'_j  =             [[lam*v_j - E, -a_j], [a_{j+1}, 0]],
     M_n   = A_n ... A_1  (identity at n = 0),   det M_n = a_1 / a_{n+1}.
 
-Products are carried as (unit-Frobenius matrix, log magnitude) pairs so
-that norms growing like lam^n never overflow; lambda = 1e3 would already
-overflow a double near n = 300.
+Every product, one or a stack, is a `CocycleProduct`: unit-Frobenius
+matrices, their log magnitudes and exact log|det|, so that norms growing like
+lam^n never overflow (lambda = 1e3 would overflow a double near n = 300).
 """
 
 from __future__ import annotations
@@ -31,74 +31,67 @@ _BLOCK = 16384  # elements per block of the batched sweep
 _SEGMENT = 128
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Operator 2-norm of a 2x2 matrix in closed form (no iteration)."""
-    f2 = float(np.sum(m * m))
-    d = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    disc = max(f2 * f2 - 4.0 * d * d, 0.0)
-    return math.sqrt(0.5 * (f2 + math.sqrt(disc)))
-
-
-@dataclass(frozen=True)
-class LogScaledMatrix:
-    """A 2x2 matrix stored as exp(log_scale) * unit with ||unit||_F = 1."""
-
-    unit: np.ndarray
-    log_scale: float
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, log_scale: float = 0.0) -> "LogScaledMatrix":
-        m = np.asarray(m, dtype=np.float64)
-        fro = math.sqrt(float(np.sum(m * m)))
-        if fro == 0.0 or not math.isfinite(fro):
-            raise ValueError("matrix must be nonzero with finite entries")
-        return cls(m / fro, log_scale + math.log(fro))
-
-    @classmethod
-    def identity(cls) -> "LogScaledMatrix":
-        return cls.from_matrix(np.eye(2))
-
-    def __matmul__(self, other: "LogScaledMatrix") -> "LogScaledMatrix":
-        return LogScaledMatrix.from_matrix(
-            self.unit @ other.unit, self.log_scale + other.log_scale
-        )
-
-    @property
-    def log_norm2(self) -> float:
-        """log of the spectral norm of the represented matrix."""
-        return self.log_scale + math.log(spectral_norm(self.unit))
-
-    @property
-    def log_det(self) -> float:
-        """log|det| recomputed from the unit entries.
-
-        Unreliable for strongly hyperbolic matrices: the unit determinant
-        cancels below float precision (CocycleProduct tracks the exact value
-        separately for that reason).  -inf marks full cancellation.
-        """
-        d = float(self.unit[0, 0] * self.unit[1, 1] - self.unit[0, 1] * self.unit[1, 0])
-        if d == 0.0:
-            return -math.inf
-        return 2.0 * self.log_scale + math.log(abs(d))
-
-    def scaled(self, log_factor: float) -> "LogScaledMatrix":
-        return LogScaledMatrix(self.unit, self.log_scale + log_factor)
-
-    def to_matrix(self) -> np.ndarray:
-        return math.exp(self.log_scale) * self.unit
-
-
 @dataclass(frozen=True)
 class CocycleProduct:
-    """An n-step cocycle product with its determinant tracked in log form."""
+    """An n-factor product exp(log_scale) * unit, ||unit||_F = 1, with its
+    log|det| tracked exactly (the unit determinant of a strongly hyperbolic
+    product cancels below float precision); or a stack of w of them, `unit`
+    of shape (w, 2, 2) and the log fields of shape (w,), with `c[i]` the
+    i-th product (a slice gives a sub-stack).
+    """
 
-    m: LogScaledMatrix
-    log_det: float
+    unit: np.ndarray
+    log_scale: float | np.ndarray
+    log_det: float | np.ndarray
     n: int
 
+    @classmethod
+    def from_matrices(cls, m, log_scale=0.0) -> "CocycleProduct":
+        """exp(log_scale) m, one factor, for a (2, 2) matrix or a (w, 2, 2)
+        stack.  Entries are divided by a power of two >= their largest |entry|
+        before squaring, so any finite nonzero m is taken, with ||m||_F
+        bitwise the plain one wherever that does not overflow.  log_det is
+        recomputed from the unit entries (-inf where it cancels entirely)."""
+        m = np.asarray(m, dtype=np.float64)
+        if m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
+            raise ValueError("expected a 2x2 matrix or a stack of them")
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=(-2, -1)))[1])
+            r = m / s[..., None, None]
+            fro = np.sqrt(np.sum(r * r, axis=(-2, -1))) * s
+        if not np.all(np.isfinite(fro) & (fro > 0.0)):
+            raise ValueError("matrix must be nonzero with finite entries")
+        unit = m / fro[..., None, None]
+        log_scale = log_scale + np.log(fro)
+        det = unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0]
+        with np.errstate(divide="ignore"):
+            log_det = 2.0 * log_scale + np.log(np.abs(det))
+        return cls(unit, _scalar(log_scale), _scalar(log_det), 1)
+
+    def __getitem__(self, i) -> "CocycleProduct":
+        return CocycleProduct(self.unit[i], _scalar(self.log_scale[i]),
+                              _scalar(self.log_det[i]), self.n)
+
+    def __len__(self) -> int:
+        return len(self.log_scale)  # a TypeError for one product
+
     @property
-    def log_norm(self) -> float:
-        return self.m.log_norm2
+    def log_norm(self):
+        """log of the spectral norm of each represented matrix."""
+        rows = self.unit.reshape(self.unit.shape[:-2] + (4,)).T  # m00, m01, m10, m11
+        return self.log_scale + _log_unit_norm(*rows)
+
+
+def _scalar(a):
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _log_unit_norm(m00, m01, m10, m11):
+    """log||u||_2 of unit-Frobenius 2x2 matrices u in closed form:
+    ||u||_2^2 = (1 + sqrt(1 - 4 det(u)^2)) / 2."""
+    det_u = m00 * m11 - m01 * m10
+    disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
+    return 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
 
 
 def transfer_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> np.ndarray:
@@ -139,37 +132,15 @@ def orbit_values(m: JacobiModel, base: TorusPoint, n: int):
     return a_vals, v_vals
 
 
-@dataclass(frozen=True)
-class OrbitProducts:
-    """The un-divided products A'_n ... A'_1 at w base points.
+def orbit_product(m: JacobiModel, x, y, E: float,
+                  n: int) -> tuple[CocycleProduct, CocycleProduct]:
+    """The stacks (M_n, A'_n ... A'_1) at the base points (x[i], y[i]) from
+    wide kernel sweeps.
 
-    `unit` (w, 2, 2) has unit Frobenius norm and `log_scale` its log
-    magnitude; `sum_log_a_next` is sum_j log|a_{j+1}| and `log_det` the log
-    determinant of the divided product, log|a_1| - log|a_{n+1}|.  `sign_a`
-    is the sign of prod_j a_{j+1}, sign(a_1)^n, since an admitted `a` has
-    one sign (|a| >= 1 on the whole circle).
-    """
-
-    n: int
-    unit: np.ndarray
-    log_scale: np.ndarray
-    sum_log_a_next: np.ndarray
-    log_det: np.ndarray
-    sign_a: np.ndarray
-
-    def cocycle(self, i: int, divide: bool = True) -> CocycleProduct:
-        """M_n = A'_n ... A'_1 / prod_j a_{j+1} (divide) or A'_n ... A'_1
-        at the i-th base point."""
-        if divide:
-            m = LogScaledMatrix(self.sign_a[i] * self.unit[i],
-                                float(self.log_scale[i] - self.sum_log_a_next[i]))
-            return CocycleProduct(m, float(self.log_det[i]), self.n)
-        m = LogScaledMatrix(self.unit[i], float(self.log_scale[i]))
-        return CocycleProduct(m, float(self.log_det[i] + 2.0 * self.sum_log_a_next[i]), self.n)
-
-
-def orbit_product(m: JacobiModel, x, y, E: float, n: int) -> OrbitProducts:
-    """A'_n ... A'_1 at the base points (x[i], y[i]) from wide kernel sweeps.
+    M_n = A'_n ... A'_1 / prod_j a_{j+1} has log_det = log|a_1| -
+    log|a_{n+1}|; the un-divided product adds 2 sum_j log|a_{j+1}| to it.
+    The sign of prod_j a_{j+1} is sign(a_1)^n, since an admitted `a` has one
+    sign (|a| >= 1 on the whole circle).
 
     Each orbit is cut into K = ceil(n / _SEGMENT) segments; segment k starts
     at T^{k _SEGMENT}(x, y), exactly from `exact_orbit_phases`, and the
@@ -226,7 +197,8 @@ def orbit_product(m: JacobiModel, x, y, E: float, n: int) -> OrbitProducts:
         sum_log_a_next[rows] = _running_total(A[0], A[1:])
         log_det[rows] = _running_total(D[0], D[1:])
     sign_a = np.sign(m.a(exact_orbit_phases(x, y, 1, m.omega)[1])) ** (n % 2)
-    return OrbitProducts(n, unit, log_scale, sum_log_a_next, log_det, sign_a)
+    return (CocycleProduct(sign_a[:, None, None] * unit, log_scale - sum_log_a_next, log_det, n),
+            CocycleProduct(unit, log_scale, log_det + 2.0 * sum_log_a_next, n))
 
 
 def fundamental_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
@@ -236,19 +208,20 @@ def fundamental_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> Co
     sweep over the segments, folded pairwise.  Raises
     ModelAdmissionError at the first step that meets |a| < 1.
     """
-    return orbit_product(m, [base.x], [base.y], E, n).cocycle(0)
+    return orbit_product(m, [base.x], [base.y], E, n)[0][0]
 
 
 def fundamental_matrix_a(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
     """The un-divided product A'_n ... A'_1 (see `fundamental_matrix`)."""
-    return orbit_product(m, [base.x], [base.y], E, n).cocycle(0, divide=False)
+    return orbit_product(m, [base.x], [base.y], E, n)[1][0]
 
 
 def normalize_unimodular(c: CocycleProduct) -> CocycleProduct:
-    """M / |det M|^{1/2}; the result has |det| = 1."""
-    if not math.isfinite(c.log_det):
+    """M / |det M|^{1/2}, of each product of a stack; the result has |det| = 1."""
+    if not np.all(np.isfinite(c.log_det)):
         raise ValueError("log_det must be finite")
-    return CocycleProduct(c.m.scaled(-0.5 * c.log_det), 0.0, c.n)
+    return CocycleProduct(c.unit, c.log_scale - 0.5 * c.log_det,
+                          _scalar(np.zeros(np.shape(c.log_det))), c.n)
 
 
 def _f_product(m: JacobiModel, base: TorusPoint, E: float, n: int):
@@ -322,8 +295,8 @@ def fundamental_matrix_via_f(m: JacobiModel, base: TorusPoint, E: float, n: int)
     unit, log_scale, a_vals = _f_product(m, base, E, n)
     a_1, a_n1, rest = a_vals[1], a_vals[n + 1], a_vals[2:n + 2]
     scaled = unit * np.array([[1.0, 1.0 / a_1], [a_n1, a_n1 / a_1]]) * np.prod(np.sign(rest))
-    lsm = LogScaledMatrix.from_matrix(scaled, log_scale - float(np.sum(np.log(np.abs(rest)))))
-    return CocycleProduct(lsm, math.log(abs(a_1)) - math.log(abs(a_n1)), n)
+    c = CocycleProduct.from_matrices(scaled, log_scale - float(np.sum(np.log(np.abs(rest)))))
+    return CocycleProduct(c.unit, c.log_scale, math.log(abs(a_1)) - math.log(abs(a_n1)), n)
 
 
 @dataclass(frozen=True)
@@ -340,11 +313,6 @@ class DifferenceSolution:
         i = n - self.n_min
         with np.errstate(over="ignore"):
             return float(self.sign[i] * np.exp(self.log_abs[i]))
-
-    @property
-    def values(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return self.sign * np.exp(self.log_abs)
 
 
 def solve_difference_equation(
@@ -604,11 +572,7 @@ def batched_log_norm_checkpoints(
             out[0] = {"log_norm": z, "log_norm_u": z.copy(), "log_norm_a": z.copy(),
                       "log_det": z.copy()}
             continue
-        m00, m01, m10, m11 = u
-        det_u = m00 * m11 - m01 * m10
-        disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
-        log_unit_norm = 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
-        log_norm_a = log_scale + log_unit_norm
+        log_norm_a = log_scale + _log_unit_norm(*u)
         log_norm = log_norm_a - sum_log_a_next
         out[n] = {
             "log_norm": log_norm.ravel(),
@@ -640,12 +604,11 @@ def batched_log_norms(
         return batched_log_norm_checkpoints(m, x, y, E, [n])[n]
     x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=np.float64)),
                                np.atleast_1d(np.asarray(y, dtype=np.float64)))
-    p = orbit_product(m, x, y, E, n)
-    log_unit_norm = np.array([math.log(spectral_norm(u)) for u in p.unit])
-    log_norm = (p.log_scale - p.sum_log_a_next) + log_unit_norm
+    M, A = orbit_product(m, x, y, E, n)
+    log_norm = M.log_norm
     return {
         "log_norm": log_norm,
-        "log_norm_u": log_norm - 0.5 * p.log_det,
-        "log_norm_a": p.log_scale + log_unit_norm,
-        "log_det": p.log_det,
+        "log_norm_u": log_norm - 0.5 * M.log_det,
+        "log_norm_a": A.log_norm,
+        "log_det": M.log_det,
     }

@@ -136,9 +136,9 @@ def _orbit_scan(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float, n: int) 
         birkhoff[rows] = np.log(w).sum(axis=1)
         log_det_diag[rows] = np.log(np.abs(m.lam * v - E)).sum(axis=1)
         min_abs[rows] = w.min(axis=1)
-    p = orbit_product(m, x, y, E, n)
+    _, A = orbit_product(m, x, y, E, n)
     with np.errstate(divide="ignore"):
-        log_f = np.log(np.abs(p.unit[:, 0, 0])) + p.log_scale
+        log_f = np.log(np.abs(A.unit[:, 0, 0])) + A.log_scale
     return {
         "birkhoff": birkhoff / n,
         "log_det_diag": log_det_diag / n,

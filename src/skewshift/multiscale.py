@@ -321,7 +321,6 @@ def resolve_config(config: dict) -> dict:
         "continuity_deltas": [1e-2, 1e-4, 1e-6, 1e-8],
         "continuity_N": 8,
         "diophantine_nmax": 10_000,
-        "lambda_exponent_B": 4.0,
         "work_budget": DEFAULT_WORK_BUDGET,
     }
     cfg.update(config or {})

@@ -14,8 +14,6 @@ import numpy as np
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
-_RATIONAL_TOL = 1e-14
-
 
 def mod1(x: float) -> float:
     """Reduce into [0, 1) with x - floor(x) semantics."""
@@ -118,39 +116,6 @@ def skew_shift_iterate(p: TorusPoint, k: int, omega: float) -> TorusPoint:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _iterate_signed(p, k, omega)
-
-
-def continued_fraction(omega: float, depth: int) -> list[int]:
-    """First `depth` partial quotients of omega in (0, 1).
-
-    Terminates early when the remainder drops below 1e-14 (rational input).
-    """
-    if not 0.0 < omega < 1.0:
-        raise ValueError("omega must be in (0, 1)")
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    terms: list[int] = []
-    z = omega
-    for _ in range(depth):
-        if z < _RATIONAL_TOL:
-            break
-        z = 1.0 / z
-        a = int(math.floor(z))
-        if a < 1:
-            break
-        terms.append(a)
-        z -= a
-    return terms
-
-
-def convergent(terms: list[int]) -> Fraction:
-    """p/q reconstructed from partial quotients [a1, a2, ...]."""
-    if not terms:
-        raise ValueError("empty partial-quotient list")
-    frac = Fraction(0)
-    for a in reversed(terms):
-        frac = Fraction(1, 1) / (a + frac)
-    return frac
 
 
 @dataclass

@@ -92,7 +92,7 @@ def test_criterion_2_f_cross_check():
         if abs(cf.log_norm - cp.log_norm) > 1e-8 * scale:
             ok = False
             break
-        if not np.allclose(cf.m.unit, cp.m.unit, atol=1e-8):
+        if not np.allclose(cf.unit, cp.unit, atol=1e-8):
             ok = False
             break
     # f recurrence vs dense cofactor oracle

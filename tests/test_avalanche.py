@@ -10,6 +10,7 @@ from skewshift.avalanche import (
     cocycle_blocks,
 )
 from skewshift.cli import _demo_matrices
+from skewshift.cocycle import CocycleProduct
 from skewshift.torus import TorusPoint
 
 from conftest import make_model
@@ -94,11 +95,45 @@ def test_report_json_roundtrip():
     assert d["mu"] == 100.0
 
 
+def _textbook(mats):
+    """The report's sums from dense floats: log of np.linalg.norm(., 2) per
+    factor and per pair, and the product multiplied left to right."""
+    log_norms = [math.log(np.linalg.norm(a, 2)) for a in mats]
+    pairs = [math.log(np.linalg.norm(b @ a, 2)) for a, b in zip(mats, mats[1:])]
+    full = mats[0]
+    for a in mats[1:]:
+        full = a @ full
+    return {
+        "log_norm_product": math.log(np.linalg.norm(full, 2)),
+        "sum_log_middle": sum(log_norms[1:-1]),
+        "sum_log_pairwise": sum(pairs),
+        "max_pairwise_defect": max(x + y - p for x, y, p in
+                                   zip(log_norms[1:], log_norms, pairs)),
+        "min_log_norm": min(log_norms),
+        "max_log_det": max(math.log(abs(np.linalg.det(a))) for a in mats),
+    }
+
+
+def test_check_matches_textbook_computation():
+    # moderate hyperbolic families, whose products stay in float range
+    for mu, n, seed in ((50.0, 12, 0), (50.0, 12, 1), (1e3, 8, 2), (1e3, 8, 3), (10.0, 30, 4)):
+        mats = _demo_matrices("hyperbolic", mu, n, seed)
+        rep = avalanche_check(mats, mu=mu)
+        want = _textbook(mats)
+        for key, value in want.items():
+            assert getattr(rep, key) == pytest.approx(value, rel=1e-12, abs=1e-12), key
+        lhs = abs(want["log_norm_product"] + want["sum_log_middle"] - want["sum_log_pairwise"])
+        assert rep.lhs == pytest.approx(lhs, abs=1e-12)
+        # a stack goes through the same check as the raw matrices
+        stack = CocycleProduct.from_matrices(mats)
+        assert avalanche_check(stack, mu=mu) == rep
+
+
 def test_cocycle_blocks_shapes(theorem_model):
     blocks = cocycle_blocks(theorem_model, TorusPoint(0.31, 0.17), 0.0, 20, 6)
     assert len(blocks) == 6
     for b in blocks:
-        assert b.log_norm2 > 20 * 5.0  # strongly hyperbolic at lam = 1e6
+        assert b.log_norm > 20 * 5.0  # strongly hyperbolic at lam = 1e6
 
 
 def test_avalanche_on_cocycle_hypotheses(theorem_model):

@@ -1,5 +1,9 @@
 import json
+import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,42 @@ def test_avalanche_model_base(model_path, capsys):
                        "--blocks", "8", "--base", base)
         assert code == 2
         assert "--base" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_avalanche_model_budget(model_path, capsys):
+    # --n 16 --blocks 8 multiplies 128 matrix steps
+    args = ["avalanche", "--model", model_path, "--n", "16", "--blocks", "8"]
+    assert run_cli(*args, "--budget", "127") == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BudgetError"
+    assert run_cli(*args, "--budget", "128") == 0
+    assert "pass" in json.loads(capsys.readouterr().out)
+
+
+def test_avalanche_demo_huge_mu(capsys):
+    # entries near 2e200 overflow a plain sum of squares
+    code = run_cli("avalanche", "--demo", "hyperbolic", "--mu", "1e200", "--n", "4",
+                   "--seed", "1")
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["hyp_norm"] is True and rec["min_log_norm"] >= math.log(1e200)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every `skewshift ...` line of the README's CLI block runs as written,
+    # from a directory that holds its model.json and run.json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("skewshift ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    save_model(default_theorem_model(), "model.json")
+    Path("run.json").write_text("{}")
+    for line in lines:
+        assert run_cli(*shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
+    assert Path("archive", "MANIFEST").is_file()
+    assert Path("figs", "fig_lyapunov.svg").is_file()
 
 
 def test_continuity_cmd(tmp_path, model_path):

@@ -8,7 +8,6 @@ import pytest
 from skewshift import cocycle
 from skewshift.cocycle import (
     CocycleProduct,
-    LogScaledMatrix,
     batched_log_norm_checkpoints,
     batched_log_norms,
     f_determinant,
@@ -19,7 +18,6 @@ from skewshift.cocycle import (
     normalize_unimodular,
     orbit_values,
     solve_difference_equation,
-    spectral_norm,
     transfer_matrix,
     wronskian,
 )
@@ -31,7 +29,7 @@ from skewshift.model import (
     model_from_dict,
     model_to_dict,
 )
-from skewshift.avalanche import cocycle_blocks
+from skewshift.avalanche import avalanche_check, cocycle_blocks
 from skewshift.torus import TorusPoint, mod1, q64, skew_shift_iterate
 
 from conftest import constant_model, dense_product, make_model, random_points, tridiag_det
@@ -42,27 +40,28 @@ from conftest import constant_model, dense_product, make_model, random_points, t
 
 def test_spectral_norm_matches_numpy():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        mat = rng.normal(size=(2, 2))
-        assert spectral_norm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
+    mats = rng.normal(size=(50, 2, 2))
+    norms = np.exp(CocycleProduct.from_matrices(mats).log_norm)
+    for mat, norm in zip(mats, norms):
+        assert norm == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
 
 
 def test_log_scaled_roundtrip():
     mat = np.array([[3.0, -1.0], [1.0, 0.0]])
-    ls = LogScaledMatrix.from_matrix(mat)
-    assert np.allclose(ls.to_matrix(), mat)
-    assert ls.log_norm2 == pytest.approx(math.log(np.linalg.norm(mat, 2)))
+    ls = CocycleProduct.from_matrices(mat)
+    assert np.allclose(math.exp(ls.log_scale) * ls.unit, mat)
+    assert ls.log_norm == pytest.approx(math.log(np.linalg.norm(mat, 2)))
 
 
 def test_log_scaled_product_avoids_overflow():
     # 400 factors of norm e^10 each: plain floats would overflow at ~e^709
-    f = LogScaledMatrix.from_matrix(np.diag([math.e**10, math.e**-10]))
-    acc = LogScaledMatrix.identity()
-    for _ in range(400):
-        acc = f @ acc
-    assert acc.log_norm2 == pytest.approx(4000.0, rel=1e-12)
+    d = np.diag([math.e**10, math.e**-10])
+    f = CocycleProduct.from_matrices(d)
+    stack = CocycleProduct.from_matrices(np.tile(d, (400, 1, 1)))
+    assert avalanche_check(stack, log_mu=1.0).log_norm_product == pytest.approx(4000.0, rel=1e-12)
     # the unit determinant cancels entirely at this conditioning; the
     # representation reports -inf rather than a garbage value
+    acc = CocycleProduct.from_matrices(np.linalg.matrix_power(f.unit, 400), 400 * f.log_scale)
     assert acc.log_det == -math.inf
 
 
@@ -70,8 +69,29 @@ def test_log_scaled_group_law():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2))
-    prod = LogScaledMatrix.from_matrix(a) @ LogScaledMatrix.from_matrix(b)
-    assert np.allclose(prod.to_matrix(), a @ b, rtol=1e-12)
+    fa, fb = CocycleProduct.from_matrices(a), CocycleProduct.from_matrices(b)
+    prod = CocycleProduct.from_matrices(fa.unit @ fb.unit, fa.log_scale + fb.log_scale)
+    assert np.allclose(math.exp(prod.log_scale) * prod.unit, a @ b, rtol=1e-12)
+
+
+def test_from_matrices_beyond_squared_range():
+    # entries past ~1.3e154 overflow a plain sum of squares
+    c = CocycleProduct.from_matrices(np.diag([1e160, 1e-160]))
+    assert c.log_norm == pytest.approx(math.log(1e160), rel=0.0, abs=1e-12)
+    for bad in (np.zeros((2, 2)), np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])):
+        with pytest.raises(ValueError, match="nonzero with finite entries"):
+            CocycleProduct.from_matrices(bad)
+
+
+def test_from_matrices_frobenius_is_bitwise_the_sum_of_squares():
+    # dividing by a power of two before squaring changes no bit in range
+    rng = np.random.default_rng(11)
+    mats = rng.normal(size=(200, 2, 2)) * 10.0 ** rng.integers(-150, 150, size=(200, 1, 1))
+    c = CocycleProduct.from_matrices(mats, 0.5)
+    for i, mat in enumerate(mats):
+        fro = math.sqrt(float(np.sum(mat * mat)))
+        assert c[i].unit.tobytes() == (mat / fro).tobytes()
+        assert c[i].log_scale == 0.5 + math.log(fro)
 
 
 # ---------------------------------------------------------------- one step
@@ -227,7 +247,7 @@ def _product_loop(m, base, E, checkpoints, divide=True):
         log_scale += math.log(fro)
         if j in checkpoints:
             unit = np.array([[u00, u01], [u10, u11]])
-            out[j] = CocycleProduct(LogScaledMatrix(unit, log_scale), log_det, j)
+            out[j] = CocycleProduct(unit, log_scale, log_det, j)
     return out
 
 
@@ -258,7 +278,7 @@ def test_long_orbit_agreement_at_n0_to_the_fifth(theorem_model, long_oracle, mon
     for c in got:
         assert _rel(c.log_norm, want.log_norm) < 1e-9
         assert abs(c.log_det - want.log_det) < 1e-9
-        assert np.allclose(c.m.unit, want.m.unit, rtol=0.0, atol=1e-9)
+        assert np.allclose(c.unit, want.unit, rtol=0.0, atol=1e-9)
     assert _rel(got[0].log_norm, got[1].log_norm) < 1e-9
     assert b["log_norm"][0] == got[0].log_norm
     assert _rel(float(b["log_norm"][0]), want.log_norm) < 1e-9
@@ -274,7 +294,7 @@ def test_long_via_f_at_n0_to_the_fifth(theorem_model, long_oracle):
     assert _rel(cf.log_norm, cp.log_norm) < 1e-9
     assert _rel(cf.log_norm, want.log_norm) < 1e-9
     assert abs(cf.log_det - want.log_det) < 1e-9
-    assert np.allclose(cf.m.unit, want.m.unit, rtol=0.0, atol=1e-9)
+    assert np.allclose(cf.unit, want.unit, rtol=0.0, atol=1e-9)
 
 
 def test_batched_width_two_long_orbit(theorem_model, long_oracle):
@@ -300,7 +320,7 @@ def test_orbit_product_matches_oracle_across_segments(tame_model, monkeypatch):
                 got = f(tame_model, p, 0.3, n)
                 assert got.log_norm == pytest.approx(want.log_norm, rel=1e-12)
                 assert got.log_det == pytest.approx(want.log_det, rel=1e-12, abs=1e-12)
-                assert np.allclose(got.m.unit, want.m.unit, rtol=0.0, atol=1e-12)
+                assert np.allclose(got.unit, want.unit, rtol=0.0, atol=1e-12)
 
 
 def test_tree_fold_matches_oracle(tame_model, monkeypatch):
@@ -315,7 +335,7 @@ def test_tree_fold_matches_oracle(tame_model, monkeypatch):
                     want = _product_loop(tame_model, p, 0.3, [n], divide)[n]
                     got = f(tame_model, p, 0.3, n)
                     assert got.log_norm == pytest.approx(want.log_norm, rel=1e-12)
-                    assert np.allclose(got.m.unit, want.m.unit, rtol=0.0, atol=1e-12)
+                    assert np.allclose(got.unit, want.unit, rtol=0.0, atol=1e-12)
 
 
 def test_negative_a_products(monkeypatch):
@@ -332,7 +352,7 @@ def test_negative_a_products(monkeypatch):
             dense_a = dense * np.prod(a_vals[2:n + 2])
             for got, want in ((fundamental_matrix(m, p, E, n), dense),
                               (fundamental_matrix_a(m, p, E, n), dense_a)):
-                assert np.allclose(got.m.unit, want / np.linalg.norm(want), rtol=0.0, atol=1e-10)
+                assert np.allclose(got.unit, want / np.linalg.norm(want), rtol=0.0, atol=1e-10)
                 assert got.log_norm == pytest.approx(math.log(np.linalg.norm(want, 2)), rel=1e-12)
                 assert got.log_det == pytest.approx(math.log(abs(np.linalg.det(want))),
                                                     rel=1e-9, abs=1e-9)
@@ -384,6 +404,21 @@ def test_batched_long_view_per_point(theorem_model, monkeypatch):
             normalize_unimodular(cp).log_norm, rel=1e-14)
 
 
+def test_orbit_product_stacks_are_the_one_point_products(theorem_model, tame_model):
+    # point i of each stack is bitwise the one-point product there
+    rng = np.random.default_rng(61)
+    x, y = rng.random(4), rng.random(4)
+    for m in (theorem_model, tame_model):
+        for n in (1, 50, 129, 300):
+            stacks = cocycle.orbit_product(m, x, y, 0.2, n)
+            for k, f in ((0, fundamental_matrix), (1, fundamental_matrix_a)):
+                for i in range(4):
+                    got = stacks[k][i]
+                    want = f(m, TorusPoint(float(x[i]), float(y[i])), 0.2, n)
+                    assert got.unit.tobytes() == want.unit.tobytes()
+                    assert (got.log_scale, got.log_det, got.n) == (want.log_scale, want.log_det, n)
+
+
 def test_cocycle_blocks_lie_on_the_orbit(theorem_model):
     # block j is bitwise the product at T^{jn}(base) from the rational
     # closed form, and the blocks multiply to the full product
@@ -391,14 +426,12 @@ def test_cocycle_blocks_lie_on_the_orbit(theorem_model):
     blocks = cocycle_blocks(theorem_model, p, 0.0, n, count)
     for j, b in enumerate(blocks):
         q = skew_shift_iterate(p, j * n, theorem_model.omega)
-        want = normalize_unimodular(fundamental_matrix(theorem_model, q, 0.0, n)).m
+        want = normalize_unimodular(fundamental_matrix(theorem_model, q, 0.0, n))
         assert b.unit.tobytes() == want.unit.tobytes()
         assert b.log_scale == want.log_scale
-    full = blocks[0]
-    for b in blocks[1:]:
-        full = b @ full
+    full = avalanche_check(blocks, log_mu=1.0).log_norm_product
     whole = normalize_unimodular(fundamental_matrix(theorem_model, p, 0.0, n * count))
-    assert full.log_norm2 == pytest.approx(whole.log_norm, rel=1e-12)
+    assert full == pytest.approx(whole.log_norm, rel=1e-12)
 
 
 # ---------------------------------------------------------------- f recurrence
@@ -475,8 +508,8 @@ def test_f_product_matches_recurrence_oracle(tame_model, theorem_model, monkeypa
                     seen_signs.add(sign)
                     unit, log_scale = _via_f_oracle(m, p, E, n)
                     cf = fundamental_matrix_via_f(m, p, E, n)
-                    assert np.allclose(cf.m.unit, unit, rtol=0.0, atol=1e-10)
-                    assert cf.m.log_scale == pytest.approx(log_scale, rel=1e-12, abs=1e-12)
+                    assert np.allclose(cf.unit, unit, rtol=0.0, atol=1e-10)
+                    assert cf.log_scale == pytest.approx(log_scale, rel=1e-12, abs=1e-12)
                     want_det = math.log(abs(a_vals[1] / a_vals[n + 1]))
                     assert cf.log_det == pytest.approx(want_det, abs=1e-12)
     assert seen_signs == {-1, 1}
@@ -507,14 +540,14 @@ def test_via_f_matches_product(tame_model):
         cf = fundamental_matrix_via_f(tame_model, p, E, n)
         assert cf.log_norm == pytest.approx(cp.log_norm, rel=1e-9, abs=1e-9)
         assert cf.log_det == pytest.approx(cp.log_det, rel=1e-9, abs=1e-9)
-        assert np.allclose(cf.m.unit, cp.m.unit, atol=1e-8)
+        assert np.allclose(cf.unit, cp.unit, atol=1e-8)
 
 
 def test_via_f_n1(tame_model):
     p = TorusPoint(0.77, 0.13)
     cp = fundamental_matrix(tame_model, p, 0.5, 1)
     cf = fundamental_matrix_via_f(tame_model, p, 0.5, 1)
-    assert np.allclose(cf.m.unit, cp.m.unit, atol=1e-12)
+    assert np.allclose(cf.unit, cp.unit, atol=1e-12)
 
 
 # ---------------------------------------------------------------- solutions
@@ -775,6 +808,6 @@ def test_constant_zero_potential_oracle():
     m = constant_model(a0=1.0, v0=0.0, lam=0.0)
     cp = fundamental_matrix(m, TorusPoint(0.3, 0.4), 1.0, 6)
     dense = np.linalg.matrix_power(np.array([[-1.0, -1.0], [1.0, 0.0]]), 6)
-    assert np.allclose(cp.m.to_matrix(), dense, atol=1e-9)
+    assert np.allclose(math.exp(cp.log_scale) * cp.unit, dense, atol=1e-9)
     assert cp.log_det == pytest.approx(0.0, abs=1e-12)
     assert cp.log_norm == pytest.approx(math.log(np.linalg.norm(dense, 2)), abs=1e-9)

@@ -12,8 +12,6 @@ from skewshift.torus import (
     TorusPoint,
     _iterate_signed,
     circle_dist,
-    continued_fraction,
-    convergent,
     diophantine_check,
     exact_orbit_phases,
     mod1,
@@ -133,23 +131,6 @@ def test_iterate_semigroup(x, y, omega, j, k):
 def test_iterate_rejects_negative():
     with pytest.raises(ValueError):
         skew_shift_iterate(TorusPoint(0.0, 0.0), -1, 0.5)
-
-
-def test_continued_fraction_golden_mean():
-    # all partial quotients of (sqrt 5 - 1)/2 equal 1
-    terms = continued_fraction(GOLDEN_MEAN, 12)
-    assert terms == [1] * 12
-
-
-def test_continued_fraction_rational():
-    assert continued_fraction(0.25, 10) == [4]
-    assert convergent([4]) == Fraction(1, 4)
-
-
-def test_convergent_reconstructs():
-    terms = continued_fraction(GOLDEN_MEAN, 20)
-    approx = convergent(terms)
-    assert abs(float(approx) - GOLDEN_MEAN) < 1e-7
 
 
 def test_diophantine_golden_mean_passes():
