@@ -55,10 +55,12 @@ def _sampler(args) -> Sampler:
 
 
 def _emit(obj, out_path: str | None):
+    # JSON has no infinities or NaN: a non-finite float goes out as null
+    obj = json.loads(json.dumps(obj, sort_keys=True), parse_constant=lambda _: None)
     if isinstance(obj, list):
-        text = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in obj)
+        text = "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in obj)
     else:
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

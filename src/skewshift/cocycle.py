@@ -50,8 +50,10 @@ class CocycleProduct:
         """exp(log_scale) m, one factor, for a (2, 2) matrix or a (w, 2, 2)
         stack.  Entries are divided by a power of two >= their largest |entry|
         before squaring, so any finite nonzero m is taken, with ||m||_F
-        bitwise the plain one wherever that does not overflow.  log_det is
-        recomputed from the unit entries (-inf where it cancels entirely)."""
+        bitwise the plain one wherever that does not overflow.  log_det comes
+        from the entries' `np.frexp` parts, which never underflow (-inf iff
+        det m = 0): det m = 2^k (p 2^(e - k) - q 2^(f - k)), k the larger
+        exponent of a nonzero product."""
         m = np.asarray(m, dtype=np.float64)
         if m.shape[-2:] != (2, 2) or m.ndim not in (2, 3):
             raise ValueError("expected a 2x2 matrix or a stack of them")
@@ -61,12 +63,15 @@ class CocycleProduct:
             fro = np.sqrt(np.sum(r * r, axis=(-2, -1))) * s
         if not np.all(np.isfinite(fro) & (fro > 0.0)):
             raise ValueError("matrix must be nonzero with finite entries")
-        unit = m / fro[..., None, None]
-        log_scale = log_scale + np.log(fro)
-        det = unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0]
+        mant, ex = np.frexp(m)
+        p, q = mant[..., 0, 0] * mant[..., 1, 1], mant[..., 0, 1] * mant[..., 1, 0]
+        e, f = ex[..., 0, 0] + ex[..., 1, 1], ex[..., 0, 1] + ex[..., 1, 0]
+        k = np.maximum(np.where(p == 0, f, e), np.where(q == 0, e, f))
+        det = np.ldexp(p, e - k) - np.ldexp(q, f - k)
         with np.errstate(divide="ignore"):
-            log_det = 2.0 * log_scale + np.log(np.abs(det))
-        return cls(unit, _scalar(log_scale), _scalar(log_det), 1)
+            log_det = 2.0 * log_scale + (np.log(np.abs(det)) + k * math.log(2.0))
+        return cls(m / fro[..., None, None], _scalar(log_scale + np.log(fro)),
+                   _scalar(log_det), 1)
 
     def __getitem__(self, i) -> "CocycleProduct":
         return CocycleProduct(self.unit[i], _scalar(self.log_scale[i]),
@@ -447,18 +452,20 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
     Step j sits at (x + Phi_j(y), y + theta_j), exact offsets of y and omega
     quantized once (`torus.orbit_offsets`); a and v come from `along`
     tables of x and y, so trig runs on the offsets alone, at y's shape.
-    Steps run in blocks of max(1, _BLOCK // samples) steps, cut at every
-    checkpoint; only the 2x2 update runs step by step.  The state is
-    renormalized after each step j with j % r == 0 (`_renorm_every`) and a
-    checkpoint reads out a normalized copy, so with the log sums added in
-    step order (`_running_total`) its values are bitwise those of a sweep
-    that stops there, whatever the block length.
+    y-blocks of max(1, _BLOCK // y.size) steps, cut at every checkpoint, do
+    what has y's shape (offsets, a and its logs, v's offset stage); x-blocks
+    of max(1, _BLOCK // samples) steps inside them write lam*v_j - E into rows
+    allocated once per sweep; the 2x2 update runs step by step.  The state
+    is renormalized after each step j with j % r == 0 (`_renorm_every`) and
+    a checkpoint reads out a normalized copy, so with the log sums added in
+    step order its values are bitwise those of a sweep that stops there.
     """
     shape = np.broadcast_shapes(x.shape, y.shape)
-    block = max(1, _BLOCK // max(1, math.prod(shape)))
-    spans, done = [], 0  # blocks of steps j0 <= j < j1
+    y_block = max(1, _BLOCK // max(1, y.size))
+    x_block = max(1, _BLOCK // max(1, math.prod(shape)))
+    spans, done = [], 0  # y-blocks of steps j0 <= j < j1
     for n in checkpoints:
-        spans += [(j0, min(j0 + block, n + 1)) for j0 in range(done + 1, n + 1, block)]
+        spans += [(j0, min(j0 + y_block, n + 1)) for j0 in range(done + 1, n + 1, y_block)]
         done = n
     every = _renorm_every(m, E)
     Y, W = q64(y), q64(m.omega)
@@ -475,7 +482,8 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
     # set that outgrows the cache costs more at wide blocks than it saves
     sq = np.empty_like(u)
     prod = sq[:2]
-    inv = np.empty(shape)
+    inv, fro = np.empty(shape), np.empty(shape)
+    d = np.empty((x_block,) + shape)  # lam*v_j - E of an x-block
     u_top, u_bottom = u[:2], u[2:]
     sq0, sq1, sq2, sq3 = sq
 
@@ -508,20 +516,21 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
             low = np.abs(a) < a_floor
             first = j0 + np.argmax(low, axis=0)
             small_a = np.where((small_a == 0) & low.any(axis=0), first, small_a)
-        d = v_at(phi[:-1], theta[:-1])
-        d *= m.lam
-        d -= E  # lam*v_j - E
-        fro = np.empty(d.shape)
-        for j, d_j, a_j, a_j1, f in zip(range(j0, j1), d, a, a[1:], fro):
-            # u <- A'_j u = [[d_j m00 - a_j m10, d_j m01 - a_j m11],
-            #                [a_{j+1} m00,       a_{j+1} m01]]
-            np.multiply(a_j, u_bottom, out=prod)
-            np.multiply(a_j1, u_top, out=u_bottom)
-            np.multiply(d_j, u_top, out=u_top)
-            np.subtract(u_top, prod, out=u_top)
-            if j % every == 0:
-                normalized(f, out=u)
-        log_scale = _running_total(log_scale, np.log(fro[-j0 % every::every]))
+        v_rows = v_at.offsets(phi[:-1], theta[:-1])
+        for i0 in range(0, j1 - j0, x_block):
+            rows = v_rows(slice(i0, i0 + x_block), d[:j1 - j0 - i0])
+            rows *= m.lam
+            rows -= E  # lam*v_j - E
+            for j, d_j, a_j, a_j1 in zip(range(j0 + i0, j1), rows, a[i0:], a[i0 + 1:]):
+                # u <- A'_j u = [[d_j m00 - a_j m10, d_j m01 - a_j m11],
+                #                [a_{j+1} m00,       a_{j+1} m01]]
+                np.multiply(a_j, u_bottom, out=prod)
+                np.multiply(a_j1, u_top, out=u_bottom)
+                np.multiply(d_j, u_top, out=u_top)
+                np.subtract(u_top, prod, out=u_top)
+                if j % every == 0:
+                    normalized(fro, out=u)
+                    log_scale += np.log(fro, out=fro)
         log_a = np.log(np.abs(a))
         log_det = _running_total(log_det, log_a[:-1] - log_a[1:])
         sum_log_a_next = _running_total(sum_log_a_next, log_a[1:])

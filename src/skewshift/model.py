@@ -31,18 +31,22 @@ class ModelAdmissionError(ValueError):
     """Raised when (a, v, lambda) violates the model admission rules."""
 
 
-def _turn(w: float, table, s, want_cos: bool, want_sin: bool):
-    """(cos w (t + s), sin w (t + s)) from table = (cos w t, sin w t) by
-    angle addition, each formed only if wanted (None otherwise)."""
-    if not (want_cos or want_sin):
-        return None, None
-    ct, st = table
-    # a quarter angle doubled twice: for |w s| <= pi libm's cos and sin
-    # then see arguments within pi/4, where they cost about half as much
+def _quarter(w: float, s):
+    # (cos w s, sin w s) from a quarter angle doubled twice: for |w s| <= pi
+    # libm's cos and sin then see arguments within pi/4, costing about half
     h = 0.25 * w * s
     cs, ss = np.cos(h), np.sin(h)
     for _ in range(2):
         ss, cs = 2.0 * ss * cs, 1.0 - 2.0 * ss * ss
+    return cs, ss
+
+
+def _turn(table, q, want_cos: bool, want_sin: bool):
+    """(cos w (t + s), sin w (t + s)) from table = (cos w t, sin w t) and
+    q = _quarter(w, s) by angle addition, each formed only if wanted."""
+    if table is None:
+        return None, None
+    (ct, st), (cs, ss) = table, q
     cos = sin = None  # formed in place: fewer full-size temporaries
     if want_cos:
         cos = ct * cs
@@ -188,21 +192,35 @@ class TrigPoly2:
         return acc
 
     def along(self, x, y):
-        """The evaluator (sx, sy) -> self(x + sx, y + sy), by angle addition
-        from cos/sin tables of x and y (see `TrigPoly1.along`): an x factor
-        takes trig at sx's shape, a y factor at sy's."""
+        """The evaluator at(sx, sy) = self(x + sx, y + sy) by angle addition
+        from cos/sin tables of x and y (see `TrigPoly1.along`), in two stages:
+        `at.offsets(sx, sy)` takes trig at the offsets' shapes, completing the
+        y factors, and returns `rows(sl, out)`, which sums the rows `sl` of the
+        offsets' leading (step) axis into `out`, bitwise the one-shot call."""
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         tables = [((np.cos(w1 * x), np.sin(w1 * x)) if cos1 or sin1 else None,
                    (np.cos(w2 * y), np.sin(w2 * y)) if cos2 or sin2 else None)
                   for w1, cos1, sin1, w2, cos2, sin2, _ in self._live]
 
+        def offsets(sx, sy):
+            staged = [(prods, tx, cos1, sin1, tx and _quarter(w1, sx),
+                       _turn(ty, ty and _quarter(w2, sy), cos2, sin2))
+                      for (w1, cos1, sin1, w2, cos2, sin2, prods), (tx, ty)
+                      in zip(self._live, tables)]
+
+            def rows(sl, out):
+                # the rows sl of the staged arrays' leading (step) axis
+                out.fill(0.0)
+                for prods, tx, cos1, sin1, q, ty_turned in staged:
+                    fx = _turn(tx, q and (q[0][sl], q[1][sl]), cos1, sin1)
+                    fy = [None if f is None else f[sl] for f in ty_turned]
+                    out += _products(prods, (1.0, *fx), (1.0, *fy))
+                return out
+            return rows
+
         def at(sx, sy):
-            out = np.zeros(np.broadcast(x, y, sx, sy).shape)
-            for (w1, cos1, sin1, w2, cos2, sin2, prods), (tx, ty) in zip(self._live, tables):
-                fx = (1.0,) + _turn(w1, tx, sx, cos1, sin1)
-                fy = (1.0,) + _turn(w2, ty, sy, cos2, sin2)
-                out += _products(prods, fx, fy)
-            return out
+            return offsets(sx, sy)(..., np.empty(np.broadcast(x, y, sx, sy).shape))
+        at.offsets = offsets
         return at
 
     def grad_bound(self) -> float:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from skewshift import cli
 from skewshift.cli import main
 from skewshift.model import (
     default_theorem_model,
@@ -143,8 +144,24 @@ def test_avalanche_demo_huge_mu(capsys):
     code = run_cli("avalanche", "--demo", "hyperbolic", "--mu", "1e200", "--n", "4",
                    "--seed", "1")
     assert code == 0
-    rec = json.loads(capsys.readouterr().out)
+    # valid JSON (no Infinity), and every demo matrix has |det| = 1
+    rec = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert rec["hyp_norm"] is True and rec["min_log_norm"] >= math.log(1e200)
+    assert abs(rec["max_log_det"]) <= 1e-9
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_emit_writes_non_finite_floats_as_null(tmp_path, capsys):
+    rec = {"a": math.inf, "b": [-math.inf, math.nan, 1.5], "c": {"d": math.nan}, "e": 2}
+    cli._emit(rec, None)
+    cli._emit([rec, rec], str(tmp_path / "recs.jsonl"))
+    want = {"a": None, "b": [None, None, 1.5], "c": {"d": None}, "e": 2}
+    assert json.loads(capsys.readouterr().out, parse_constant=_refuse_constant) == want
+    with open(tmp_path / "recs.jsonl") as fh:
+        assert [json.loads(ln, parse_constant=_refuse_constant) for ln in fh] == [want, want]
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

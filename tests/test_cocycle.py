@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from skewshift import cocycle
+from skewshift import cocycle, torus
 from skewshift.cocycle import (
     CocycleProduct,
     batched_log_norm_checkpoints,
@@ -78,6 +79,8 @@ def test_from_matrices_beyond_squared_range():
     # entries past ~1.3e154 overflow a plain sum of squares
     c = CocycleProduct.from_matrices(np.diag([1e160, 1e-160]))
     assert c.log_norm == pytest.approx(math.log(1e160), rel=0.0, abs=1e-12)
+    # the unit entry 1e-320 is subnormal; det m = 1 comes from the entries
+    assert abs(c.log_det) <= 1e-9
     for bad in (np.zeros((2, 2)), np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])):
         with pytest.raises(ValueError, match="nonzero with finite entries"):
             CocycleProduct.from_matrices(bad)
@@ -706,13 +709,31 @@ def _y_dependent_model():
     return make_model(lam=3.0, a=a, v=v)
 
 
-def _block_checkpoints(width):
+def test_staged_along_is_the_one_shot_call(theorem_model):
+    # the offset stage, then the row stage into a reused buffer over any split
+    # of the steps, is bitwise the one-shot evaluator at the kernel's shapes
+    rng = np.random.default_rng(43)
+    x, y = rng.random((6, 1)), rng.random((1, 5))
+    sx, sy = rng.random((9, 1, 5)) - 0.5, rng.random((9, 1, 1)) - 0.5
+    for m in (theorem_model, _y_dependent_model()):
+        at = m.v.along(x, y)
+        want = at(sx, sy)
+        for cuts in ([0, 9], [0, 1, 9], [0, 4, 5, 9], list(range(10))):
+            rows, out = at.offsets(sx, sy), np.full((9, 6, 5), np.nan)
+            buf = np.full((max(np.diff(cuts)), 6, 5), np.nan)
+            for i0, i1 in zip(cuts, cuts[1:]):
+                out[i0:i1] = rows(slice(i0, i1), buf[:i1 - i0])
+            assert out.tobytes() == want.tobytes(), cuts
+
+
+def _block_checkpoints(width, y_width):
     # read-outs at 0, 1, T, T + 1 and 3T - 1 cross block edges for every
-    # block length T tried (T = 1 included)
+    # block length T tried (T = 1 included), of the x-blocks (T = block //
+    # samples) and of the y-blocks (T = block // y.size)
     out = {}
     for block in (1, 2, 3, 7, cocycle._BLOCK):
-        t = max(1, block // width)
-        out[block] = sorted({0, 1, t, t + 1, 3 * t - 1})
+        ts = {max(1, block // width), max(1, block // y_width)}
+        out[block] = sorted({0, 1} | {n for t in ts for n in (t, t + 1, 3 * t - 1)})
     return out
 
 
@@ -720,7 +741,7 @@ def _assert_matches_textbook(m, x, y, monkeypatch, widths=(None,)):
     """The kernel at every block length against one textbook sweep; a width
     w compares the first w samples of 1-D inputs (values are per sample)."""
     sizes = {w: np.broadcast(x[:w], y[:w]).size for w in widths}
-    wanted = {w: _block_checkpoints(size) for w, size in sizes.items()}
+    wanted = {w: _block_checkpoints(size, y[:w].size) for w, size in sizes.items()}
     union = sorted({n for cps in wanted.values() for ns in cps.values() for n in ns})
     want = _textbook_sweep(m, x, y, 0.35, union)
     for w, by_block in wanted.items():
@@ -749,6 +770,44 @@ def test_block_sweep_bitwise_textbook_wide(theorem_model, monkeypatch):
     for m in (theorem_model, _y_dependent_model()):
         for x, y in inputs:
             _assert_matches_textbook(m, x, y, monkeypatch)
+
+
+def test_sweep_does_y_work_once_per_y_block(theorem_model, monkeypatch):
+    # a 64 x 256 grid chunk: y-blocks of 16384 // 256 = 64 steps, cut at the
+    # checkpoints, each placed by one call of the orbit offsets
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return torus.orbit_offsets(*args)
+    monkeypatch.setattr(cocycle, "orbit_offsets", counting)
+    gx, gy = Sampler.grid(64, 256).axes()
+    cps = [8, 16, 32, 64, 128]
+    batched_log_norm_checkpoints(theorem_model, gx, gy, 0.3, cps)
+    assert len(calls) <= -(-128 // 64) + len(cps)
+
+
+def _peak_sweep_bytes(m, x, y, n):
+    tracemalloc.start()
+    try:
+        for _ in cocycle._sweep(m, x, y, 0.0, [n]):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_renormalizations():
+    # r = 1 renormalizes every step; its logs go into log_scale in place, so
+    # the peak is that of r = 21 (lambda = 1e6) within one full-width row,
+    # though a 16 x 16 grid runs x-blocks of 64 steps in y-blocks of 1024
+    x, y = Sampler.grid(16, 16).axes()
+    every_step = constant_model(a0=1.0, v0=1.0, lam=1e100)
+    rarely = constant_model(a0=1.0, v0=1.0, lam=1e6)
+    assert cocycle._renorm_every(every_step, 0.0) == 1
+    assert cocycle._renorm_every(rarely, 0.0) > 1
+    row = 8 * x.size * y.size
+    assert _peak_sweep_bytes(every_step, x, y, 512) <= _peak_sweep_bytes(rarely, x, y, 512) + row
 
 
 def _assert_matches_oracle(m, x, y, E, n):
