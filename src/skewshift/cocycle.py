@@ -450,15 +450,18 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
 
     `x` and `y` are equal-rank arrays (see `batched_log_norm_checkpoints`).
     Step j sits at (x + Phi_j(y), y + theta_j), exact offsets of y and omega
-    quantized once (`torus.orbit_offsets`); a and v come from `along`
+    quantized once (`torus.orbit_offsets`); a and lam*v - E come from `along`
     tables of x and y, so trig runs on the offsets alone, at y's shape.
     y-blocks of max(1, _BLOCK // y.size) steps, cut at every checkpoint, do
-    what has y's shape (offsets, a and its logs, v's offset stage); x-blocks
-    of max(1, _BLOCK // samples) steps inside them write lam*v_j - E into rows
-    allocated once per sweep; the 2x2 update runs step by step.  The state
-    is renormalized after each step j with j % r == 0 (`_renorm_every`) and
-    a checkpoint reads out a normalized copy, so with the log sums added in
-    step order its values are bitwise those of a sweep that stops there.
+    what has y's shape (offsets, a, a^2 and the logs, v's offset stage);
+    x-blocks of max(1, _BLOCK // samples) steps inside them write lam*v_j - E
+    into rows allocated once per sweep.  The state is the top rows t_j and
+    t_{j-1} of P_j = [t_j; a_{j+1} t_{j-1}], stepped by t_j = (lam*v_j - E)
+    t_{j-1} - a_j^2 t_{j-2} from t_0 = (1, 0) / sqrt 2.  It is divided by
+    its Frobenius norm (within a factor 2 of ||P_j||, as 1 <= |a| <= 2) after
+    each step j with j % r == 0 (`_renorm_every`), and a checkpoint reads out
+    [t_n; a_{n+1} t_{n-1}] normalized, so with the log sums added in step
+    order its values are bitwise those of a sweep that stops there.
     """
     shape = np.broadcast_shapes(x.shape, y.shape)
     y_block = max(1, _BLOCK // max(1, y.size))
@@ -469,73 +472,74 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
         done = n
     every = _renorm_every(m, E)
     Y, W = q64(y), q64(m.omega)
-    a_at, v_at = m.a.along(y), m.v.along(x, y)
+    a_at, v_at = m.a.along(y), m.v.along(x, y, m.lam, -E)
 
     r = math.sqrt(2.0)
-    u = np.zeros((4,) + shape)  # the unit part m00, m01, m10, m11
-    u[0] = u[3] = 1.0 / r
+    t, s, spare = np.zeros((3, 2) + shape)  # s is P_0's bottom row until a_1 is known
+    t[0] = s[1] = 1.0 / r
     log_scale = np.full(shape, math.log(r))
     sum_log_a_next = np.zeros(y.shape)   # sum_j log|a_{j+1}|
     log_det = np.zeros(y.shape)          # accumulates log|a_j| - log|a_{j+1}|
     small_a = None if a_floor is None else np.zeros(y.shape, dtype=np.int64)
-    # u is updated in place and the scratch rows are preallocated: a working
-    # set that outgrows the cache costs more at wide blocks than it saves
-    sq = np.empty_like(u)
-    prod = sq[:2]
+    # the state is updated in place and the scratch rows are preallocated: a
+    # working set that outgrows the cache costs more at wide blocks than it saves
+    unit = np.empty((4,) + shape)  # a read-out's m00, m01, m10, m11
     inv, fro = np.empty(shape), np.empty(shape)
     d = np.empty((x_block,) + shape)  # lam*v_j - E of an x-block
-    u_top, u_bottom = u[:2], u[2:]
-    sq0, sq1, sq2, sq3 = sq
 
-    def normalized(f, out):
-        # u / ||u||_F into `out`, with ||u||_F in f
-        np.multiply(u, u, out=sq)
-        np.add(sq0, sq1, out=f)
-        f += sq2
-        f += sq3
+    def frobenius(bottom, f):
+        # ||(t, bottom)||_F into f, its inverse into inv
+        np.multiply(t, t, out=spare)
+        np.add(spare[0], spare[1], out=f)
+        np.multiply(bottom, bottom, out=spare)
+        f += spare[0]
+        f += spare[1]
         np.sqrt(f, out=f)
-        np.divide(1.0, f, out=inv)
-        return np.multiply(u, inv, out=out)
+        return np.divide(1.0, f, out=inv)
 
-    def readout(n):
-        # the normalized copy goes to the scratch rows, free until resumed
+    def readout(n, a_n1):
+        # P_n = [t; a_{n+1} s] normalized into the read-out rows
         f = np.empty(shape)
-        unit = normalized(f, out=sq)
+        bottom = np.multiply(a_n1, s, out=unit[2:])
+        np.multiply(t, frobenius(bottom, f), out=unit[:2])
+        bottom *= inv
         np.log(f, out=f)
         f += log_scale
         return n, unit, f, sum_log_a_next, log_det, small_a
 
     if 0 in checkpoints:
-        yield readout(0)
+        yield readout(0, 1.0)
     for j0, j1 in spans:
         steps = np.arange(j0, j1 + 1).reshape((-1,) + (1,) * len(shape))
         # signed offsets in [-1/2, 1/2) turns keep the trig arguments small
         phi, theta = (q.view(np.int64) * 2.0**-64 for q in orbit_offsets(Y, W, steps))
         a = a_at(theta)  # a_j, j0 <= j <= j1
+        if j0 == 1:
+            s /= a[0]
+        a_sq = a[:-1] * a[:-1]
         if a_floor is not None:
             low = np.abs(a) < a_floor
             first = j0 + np.argmax(low, axis=0)
             small_a = np.where((small_a == 0) & low.any(axis=0), first, small_a)
         v_rows = v_at.offsets(phi[:-1], theta[:-1])
         for i0 in range(0, j1 - j0, x_block):
-            rows = v_rows(slice(i0, i0 + x_block), d[:j1 - j0 - i0])
-            rows *= m.lam
-            rows -= E  # lam*v_j - E
-            for j, d_j, a_j, a_j1 in zip(range(j0 + i0, j1), rows, a[i0:], a[i0 + 1:]):
-                # u <- A'_j u = [[d_j m00 - a_j m10, d_j m01 - a_j m11],
-                #                [a_{j+1} m00,       a_{j+1} m01]]
-                np.multiply(a_j, u_bottom, out=prod)
-                np.multiply(a_j1, u_top, out=u_bottom)
-                np.multiply(d_j, u_top, out=u_top)
-                np.subtract(u_top, prod, out=u_top)
+            rows = v_rows(slice(i0, i0 + x_block), d[:j1 - j0 - i0])  # lam*v_j - E
+            for j, d_j, a_sq_j in zip(range(j0 + i0, j1), rows, a_sq[i0:]):
+                # t_j = d_j t_{j-1} - a_j^2 t_{j-2}
+                np.multiply(d_j, t, out=spare)
+                np.multiply(a_sq_j, s, out=s)
+                np.subtract(spare, s, out=spare)
+                t, s, spare = spare, t, s
                 if j % every == 0:
-                    normalized(fro, out=u)
+                    frobenius(s, fro)
+                    t *= inv
+                    s *= inv
                     log_scale += np.log(fro, out=fro)
         log_a = np.log(np.abs(a))
         log_det = _running_total(log_det, log_a[:-1] - log_a[1:])
         sum_log_a_next = _running_total(sum_log_a_next, log_a[1:])
         if j1 - 1 in checkpoints:
-            yield readout(j1 - 1)
+            yield readout(j1 - 1, a[-1])
 
 
 def batched_log_norm_checkpoints(
@@ -549,12 +553,14 @@ def batched_log_norm_checkpoints(
 
     The estimators' kernel.  The sweep (`_sweep`) runs to the largest of the
     ascending `checkpoints` and reads out every checkpoint on the way,
-    vectorized over samples.  It multiplies the un-divided factors A'_j at
-    exact orbit offsets, with Frobenius renormalization on a fixed schedule
-    of steps; the plain and unimodular log-norms follow by the exact scalar
-    relations M_n = M_n^a / prod a_{j+1} and M^u = M / |det M|^{1/2}.  A
-    checkpoint reads out a normalized copy of the state, so its values are
-    bitwise those of a separate n-step sweep.  `batched_log_norms` is the
+    vectorized over samples.  It builds the un-divided product
+    A'_n ... A'_1 = [t_n; a_{n+1} t_{n-1}] from the two top rows of the
+    three-term recurrence t_j = (lam*v_j - E) t_{j-1} - a_j^2 t_{j-2} at exact
+    orbit offsets, with lam*v_j - E in one pass and Frobenius renormalization
+    on a fixed schedule of steps; the plain and unimodular log-norms follow by
+    the exact scalar relations M_n = M_n^a / prod a_{j+1} and M^u = M /
+    |det M|^{1/2}.  A checkpoint reads out a normalized copy of the state, so
+    its values are bitwise those of a separate n-step sweep.  `batched_log_norms` is the
     one-scale view that folds long orbits in log depth.
 
     `x` and `y` are equal-length sample lists or broadcastable axes of a

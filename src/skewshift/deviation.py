@@ -199,12 +199,13 @@ def initial_scale_check(
     E: float,
     n: int,
     s: Sampler,
+    reference: LyapunovEstimate | None = None,
     budget: float = DEFAULT_WORK_BUDGET,
     threads: int | None = None,
 ) -> InitialScaleReport:
     """The large-disorder initial-scale diagnostics, split on the energy
-    regime at |E| = 2 lambda ||v||.  Every sweep is charged against
-    `budget` before it runs."""
+    regime at |E| = 2 lambda ||v||.  Every sweep is charged against `budget`
+    before it runs; `reference` is passed on to `deviation_measure`."""
     if m.lam <= 1.0:
         raise ValueError("initial-scale check requires large disorder (lambda > 1)")
     if n < 1:
@@ -227,7 +228,7 @@ def initial_scale_check(
     k_dinv = int(np.count_nonzero(scan["min_abs_v_shift"] < 8.0 / m.lam))
     thresh = log_lam / 200.0
     k_f = int(np.count_nonzero(np.abs(scan["log_f"] - log_lam) > thresh))
-    dev = deviation_measure(m, E, n, S / 20.0, s, kind="unimodular",
+    dev = deviation_measure(m, E, n, S / 20.0, s, kind="unimodular", reference=reference,
                             budget=budget, threads=threads)
     return InitialScaleReport(
         n=n, E=float(E), S=S, log_lambda=log_lam, case=1, samples=x.size,

@@ -191,30 +191,35 @@ class TrigPoly2:
             acc += _products(prods, fx, fy)
         return acc
 
-    def along(self, x, y):
-        """The evaluator at(sx, sy) = self(x + sx, y + sy) by angle addition
-        from cos/sin tables of x and y (see `TrigPoly1.along`), in two stages:
-        `at.offsets(sx, sy)` takes trig at the offsets' shapes, completing the
-        y factors, and returns `rows(sl, out)`, which sums the rows `sl` of the
-        offsets' leading (step) axis into `out`, bitwise the one-shot call."""
+    def along(self, x, y, scale=1.0, shift=0.0):
+        """The evaluator at(sx, sy) = scale * self(x + sx, y + sy) + shift by
+        angle addition from cos/sin tables of x and y (see `TrigPoly1.along`),
+        in two stages: `at.offsets(sx, sy)` takes trig at the offsets' shapes,
+        completing the y factors, and returns `rows(sl, out)`, which sums the
+        rows `sl` of the offsets' leading (step) axis into `out`, bitwise the
+        one-shot call.  The map costs no pass of its own: scale sits in the x
+        tables (in the coefficients of a term constant in x) and the sum starts
+        at shift; at (1, 0) it changes no bit."""
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        tables = [((np.cos(w1 * x), np.sin(w1 * x)) if cos1 or sin1 else None,
-                   (np.cos(w2 * y), np.sin(w2 * y)) if cos2 or sin2 else None)
-                  for w1, cos1, sin1, w2, cos2, sin2, _ in self._live]
+        terms = [(prods if cos1 or sin1 else tuple((scale * c, i, j) for c, i, j in prods),
+                  (scale * np.cos(w1 * x), scale * np.sin(w1 * x)) if cos1 or sin1 else None,
+                  (np.cos(w2 * y), np.sin(w2 * y)) if cos2 or sin2 else None)
+                 for w1, cos1, sin1, w2, cos2, sin2, prods in self._live]
 
         def offsets(sx, sy):
             staged = [(prods, tx, cos1, sin1, tx and _quarter(w1, sx),
                        _turn(ty, ty and _quarter(w2, sy), cos2, sin2))
-                      for (w1, cos1, sin1, w2, cos2, sin2, prods), (tx, ty)
-                      in zip(self._live, tables)]
+                      for (w1, cos1, sin1, w2, cos2, sin2, _), (prods, tx, ty)
+                      in zip(self._live, terms)]
 
             def rows(sl, out):
-                # the rows sl of the staged arrays' leading (step) axis
-                out.fill(0.0)
-                for prods, tx, cos1, sin1, q, ty_turned in staged:
-                    fx = _turn(tx, q and (q[0][sl], q[1][sl]), cos1, sin1)
-                    fy = [None if f is None else f[sl] for f in ty_turned]
-                    out += _products(prods, (1.0, *fx), (1.0, *fy))
+                # rows sl of the staged arrays' leading (step) axis, from shift
+                sums = (_products(prods, (1.0, *_turn(tx, q and (q[0][sl], q[1][sl]), c1, s1)),
+                                  (1.0, *[None if f is None else f[sl] for f in fy]))
+                        for prods, tx, c1, s1, q, fy in staged)
+                np.add(next(sums, 0.0), shift, out=out)
+                for term in sums:
+                    out += term
                 return out
             return rows
 

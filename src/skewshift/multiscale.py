@@ -412,11 +412,17 @@ def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
     _dump_csv(lyap_rows, ["E", "n", "L_plain", "L_u", "L_a", "running_inf_u"],
               os.path.join(output_dir, "tables", "lyapunov.csv"))
 
+    # one sweep of the reference grid per energy serves every deviation scale and n0
+    refs = {E: stage("deviation", lambda E=E: lyapunov_estimates(
+        m, E, [*cfg["deviation_scales"], cfg["n0"]], REFERENCE_GRID,
+        ("plain", "unimodular"), budget=budget, threads=threads)) for E in E_grid}
+
     # initial-scale diagnostics
     init_records = []
     for E in E_grid:
         rep = stage("initial_scale", lambda E=E: initial_scale_check(
-            m, E, cfg["n0"], mc, budget=budget, threads=threads))
+            m, E, cfg["n0"], mc, reference=refs[E][cfg["n0"]]["unimodular"],
+            budget=budget, threads=threads))
         init_records.append(rep.to_json())
     _dump_jsonl(init_records, os.path.join(output_dir, "records", "initial_scale.jsonl"))
 
@@ -434,14 +440,10 @@ def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
     dev_rows = []
     for E in E_grid:
         S = m.scaling_factor(E)
-        # one sweep of the reference grid serves every deviation scale
-        refs = stage("deviation", lambda E=E: lyapunov_estimates(
-            m, E, cfg["deviation_scales"], REFERENCE_GRID, budget=budget,
-            threads=threads))
         for n in cfg["deviation_scales"]:
             thr = S * float(n) ** (-cfg["deviation_tau"])
             rep = stage("deviation", lambda n=n, E=E, thr=thr: deviation_measure(
-                m, E, n, thr, mc, kind="plain", reference=refs[n]["plain"],
+                m, E, n, thr, mc, kind="plain", reference=refs[E][n]["plain"],
                 budget=budget, threads=threads))
             dev_records.append(rep.to_json())
             dev_rows.append([n, E, thr, rep.empirical_measure,

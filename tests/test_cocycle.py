@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewshift import cocycle, torus
 from skewshift.cocycle import (
@@ -27,6 +28,7 @@ from skewshift.model import (
     ModelAdmissionError,
     TrigPoly1,
     TrigPoly2,
+    default_theorem_model,
     model_from_dict,
     model_to_dict,
 )
@@ -635,33 +637,37 @@ def test_checkpoints_match_separate_sweeps(theorem_model, tame_model):
 
 
 def _textbook_sweep(m, x, y, E, checkpoints):
-    """The batched sweep one step at a time.  Every step moves the exact
-    Q0.64 offsets by integers, Phi_{j+1} = Phi_j + Y + theta_j and
-    theta_{j+1} = theta_j + W (mod 2^64), evaluates a_{j+1} and v_j through
-    `along` at the signed offsets (a_j and log|a_j| carried from the step
-    before) and adds each log to its running sum; the state is
-    renormalized after every step j with j % r == 0, and a read-out
-    normalizes a copy.  The reference the block kernel must match bitwise."""
+    """The batched sweep one step at a time, in three-term form.  Every step
+    moves the exact Q0.64 offsets by integers, Phi_{j+1} = Phi_j + Y +
+    theta_j and theta_{j+1} = theta_j + W (mod 2^64), evaluates a_{j+1} and
+    lam*v_j - E through `along` at the signed offsets (a_j and log|a_j|
+    carried from the step before), adds each log to its running sum and
+    steps the top rows t_j = (lam*v_j - E) t_{j-1} - a_j^2 t_{j-2} of
+    P_j = [t_j; a_{j+1} t_{j-1}] from t_0 = (1, 0) / sqrt 2 and
+    t_{-1} = (0, 1 / sqrt 2) / a_1.  (t_j, t_{j-1}) is divided by its
+    Frobenius norm after every step j with j % r == 0, and a read-out
+    normalizes a copy of [t_n; a_{n+1} t_{n-1}].  The reference the block
+    kernel must match bitwise."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     shape = np.broadcast_shapes(x.shape, y.shape)
     x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
     y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
     every = cocycle._renorm_every(m, E)
-    a_at, v_at = m.a.along(y), m.v.along(x, y)
+    a_at, d_at = m.a.along(y), m.v.along(x, y, m.lam, -E)
 
     def signed(q):
         return q.view(np.int64) * 2.0**-64
 
     Y, W = q64(y), q64(m.omega)
     phi, theta = Y.copy(), np.full((1,) * len(shape), W)  # Phi_1, theta_1
-    r = math.sqrt(2.0)
-    m00, m01 = np.full(shape, 1.0 / r), np.zeros(shape)
-    m10, m11 = np.zeros(shape), np.full(shape, 1.0 / r)
-    log_scale = np.full(shape, math.log(r))
-    sum_log_a_next, log_det = np.zeros(y.shape), np.zeros(y.shape)
     a_next = a_at(signed(theta))
     log_a_next = np.log(np.abs(a_next))
+    r = math.sqrt(2.0)
+    t0, t1 = np.full(shape, 1.0 / r), np.zeros(shape)
+    s0, s1 = np.zeros(shape) / a_next, np.full(shape, 1.0 / r) / a_next
+    log_scale = np.full(shape, math.log(r))
+    sum_log_a_next, log_det = np.zeros(y.shape), np.zeros(y.shape)
     out, j = {}, 0
     for n in checkpoints:
         while j < n:
@@ -670,15 +676,14 @@ def _textbook_sweep(m, x, y, E, checkpoints):
             theta_next = theta + W
             a_next = a_at(signed(theta_next))
             log_a_next = np.log(np.abs(a_next))
-            d = m.lam * v_at(signed(phi), signed(theta)) - E
+            d = d_at(signed(phi), signed(theta))
             phi, theta = phi + Y + theta, theta_next
-            t00 = d * m00 - a_j * m10
-            t01 = d * m01 - a_j * m11
-            m00, m01, m10, m11 = t00, t01, a_next * m00, a_next * m01
+            a_sq = a_j * a_j
+            t0, t1, s0, s1 = d * t0 - a_sq * s0, d * t1 - a_sq * s1, t0, t1
             if j % every == 0:
-                fro = np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+                fro = np.sqrt(t0 * t0 + t1 * t1 + s0 * s0 + s1 * s1)
                 inv = 1.0 / fro
-                m00, m01, m10, m11 = m00 * inv, m01 * inv, m10 * inv, m11 * inv
+                t0, t1, s0, s1 = t0 * inv, t1 * inv, s0 * inv, s1 * inv
                 log_scale += np.log(fro)
             sum_log_a_next += log_a_next
             log_det += log_a_j - log_a_next
@@ -686,9 +691,10 @@ def _textbook_sweep(m, x, y, E, checkpoints):
             z = np.zeros(math.prod(shape))
             out[0] = {"log_norm": z, "log_norm_u": z, "log_norm_a": z, "log_det": z}
             continue
-        fro = np.sqrt(m00 * m00 + m01 * m01 + m10 * m10 + m11 * m11)
+        b0, b1 = a_next * s0, a_next * s1
+        fro = np.sqrt(t0 * t0 + t1 * t1 + b0 * b0 + b1 * b1)
         inv = 1.0 / fro
-        u00, u01, u10, u11 = m00 * inv, m01 * inv, m10 * inv, m11 * inv
+        u00, u01, u10, u11 = t0 * inv, t1 * inv, b0 * inv, b1 * inv
         det_u = u00 * u11 - u01 * u10
         disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
         log_norm_a = (log_scale + np.log(fro)) + 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
@@ -724,6 +730,30 @@ def test_staged_along_is_the_one_shot_call(theorem_model):
             for i0, i1 in zip(cuts, cuts[1:]):
                 out[i0:i1] = rows(slice(i0, i1), buf[:i1 - i0])
             assert out.tobytes() == want.tobytes(), cuts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.floats(-3.0, 12.0), st.floats(-1.0, 1.0),
+       st.lists(st.integers(1, 8), max_size=4), st.integers(0, 2**32 - 1))
+def test_folded_row_stage_is_lam_v_minus_E(y_dependent, log_lam, e_frac, cuts, seed):
+    # along(x, y, lam, -E) over any split of the steps is lam*v - E at the
+    # moved points within a few ulp of lam * sum|coef| + |E|; bases on a
+    # 2^-20 grid and offsets on a 2^-32 grid, so that x + sx is exact
+    v = (_y_dependent_model() if y_dependent else default_theorem_model()).v
+    lam, rng = 10.0**log_lam, np.random.default_rng(seed)
+    coef = sum(abs(c) for term in v.terms for c in term[2:])
+    E = e_frac * (lam * coef + 3.0)
+    x, y = rng.integers(0, 2**20, (6, 1)) * 2.0**-20, rng.integers(0, 2**20, (1, 5)) * 2.0**-20
+    sx = rng.integers(-2**31, 2**31, (9, 1, 5)) * 2.0**-32
+    sy = rng.integers(-2**31, 2**31, (9, 1, 1)) * 2.0**-32
+    at = v.along(x, y, lam, -E)
+    rows, got = at.offsets(sx, sy), np.full((9, 6, 5), np.nan)
+    bounds = [0, *sorted(set(cuts)), 9]
+    for i0, i1 in zip(bounds, bounds[1:]):
+        rows(slice(i0, i1), got[i0:i1])
+    assert got.tobytes() == at(sx, sy).tobytes()
+    tol = 16 * np.finfo(float).eps * (lam * coef + abs(E))
+    assert np.all(np.abs(got - (lam * v(x + sx, y + sy) - E)) <= tol)
 
 
 def _block_checkpoints(width, y_width):
@@ -828,10 +858,14 @@ def _assert_matches_oracle(m, x, y, E, n):
 
 
 def test_kernel_matches_exact_oracle_at_1024(theorem_model):
-    # exact offsets: the float closed form was 1.5e-11 off here
+    # exact offsets: the float closed form was 1.5e-11 off here.  The
+    # three-term kernel sees a only through a_j^2 and a_{n+1}, so one model
+    # has a negative, y-dependent a
     gx, gy = Sampler.grid(8).axes()
     mc = Sampler.monte_carlo(12, 5).points()
-    for m in (theorem_model, _y_dependent_model()):
+    negative_a = make_model(lam=1e3, a=TrigPoly1(((0, -1.5, 0.0), (1, -0.3, 0.0))),
+                            v=_y_dependent_model().v)
+    for m in (theorem_model, _y_dependent_model(), negative_a):
         _assert_matches_oracle(m, gx, gy, 0.3, 1024)
         _assert_matches_oracle(m, *mc, 0.3, 1024)
 

@@ -14,7 +14,7 @@ from skewshift.deviation import (
     lojasiewicz_probe,
     wilson_interval,
 )
-from skewshift.lyapunov import BudgetError, Sampler, lyapunov_finite
+from skewshift.lyapunov import BudgetError, Sampler, lyapunov_estimates, lyapunov_finite
 from skewshift.model import (
     TrigPoly1,
     TrigPoly2,
@@ -111,6 +111,20 @@ def test_initial_scale_case_split(theorem_model):
     assert set(d1) == INITIAL_SCALE_KEYS | {"deviation"}
     assert set(d1["deviation"]) == DEVIATION_KEYS
     assert set(d2) == INITIAL_SCALE_KEYS  # case 2 records carry no deviation
+
+
+def test_initial_scale_reference_is_the_checkpoint_of_a_shared_sweep(theorem_model, monkeypatch):
+    # the pipeline passes the unimodular kind at n0 from the deviation stage's
+    # multi-scale reference sweep; a checkpoint is bitwise a separate sweep,
+    # so the report is the one that sweeps its own reference, and no
+    # reference grid is swept when one is given
+    m, n, mc = theorem_model, 16, Sampler.monte_carlo(300, 3)
+    ref = lyapunov_estimates(m, 0.0, [n, 2 * n], deviation.REFERENCE_GRID,
+                             ("plain", "unimodular"))[n]["unimodular"]
+    want = initial_scale_check(m, 0.0, n, mc).to_json()
+    monkeypatch.setattr(deviation, "lyapunov_finite",
+                        lambda *args, **kwargs: pytest.fail("reference grid swept"))
+    assert initial_scale_check(m, 0.0, n, mc, reference=ref).to_json() == want
 
 
 def test_initial_scale_diag_identity(theorem_model):
