@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JacobiModel, ModelAdmissionError
+from .model import TWO_PI, JacobiModel, ModelAdmissionError, _quarter
 from .torus import TorusPoint, exact_orbit_phases, orbit_offsets, q64
 
 _RESCALE = 1e100
@@ -29,6 +29,14 @@ _BLOCK = 16384  # elements per block of the batched sweep
 # exact offsets from the segment's start, so the length bounds no phase
 # error; long products cost the same within 5 % from 64 to 256 steps
 _SEGMENT = 128
+# steps between the sweep's exact re-anchorings of its offset rotation
+# (`_OffsetTurns`).  The rotated trig drifts by about an ulp per step, and
+# the anchors cost 1/_ANCHOR of taking the trig at every step; at 32 the
+# drift reaches 1.2e-14 and a 1024-step log-norm 1.8e-12 of the exact oracle
+_ANCHOR = 8
+# steps per running product of |a_{j+1}| in the sweep's log sum: as
+# 1 <= |a| <= 2, a product stays below 2^_PRODUCT, and 2^1000 < DBL_MAX
+_PRODUCT = 512
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,8 @@ def orbit_product(m: JacobiModel, x, y, E: float,
     wide kernel sweeps.
 
     M_n = A'_n ... A'_1 / prod_j a_{j+1} has log_det = log|a_1| -
-    log|a_{n+1}|; the un-divided product adds 2 sum_j log|a_{j+1}| to it.
+    log|a_{n+1}|, from `a` at the exact phases of steps 1 and n + 1; the
+    un-divided product adds 2 sum_j log|a_{j+1}| to it.
     The sign of prod_j a_{j+1} is sign(a_1)^n, since an admitted `a` has one
     sign (|a| >= 1 on the whole circle).
 
@@ -156,7 +165,7 @@ def orbit_product(m: JacobiModel, x, y, E: float,
     at its own checkpoint.  The segments of each point are then multiplied
     by `_tree_fold` in ceil(log2 K) levels, vectorized over points.
     A point's values do not depend on the chunking, and for n <= _SEGMENT
-    (K = 1) they are bitwise those of `batched_log_norm_checkpoints`.
+    (K = 1) its one segment is the read-out of `batched_log_norm_checkpoints`.
 
     A step j whose a_j or a_{j+1} lies below 1 in absolute value raises
     ModelAdmissionError naming the first such j (of the first point that
@@ -175,20 +184,21 @@ def orbit_product(m: JacobiModel, x, y, E: float,
     lengths[-1] = last
     starts = np.arange(K) * seg
     unit = np.empty((w, 2, 2))
-    log_scale, sum_log_a_next, log_det = np.empty(w), np.empty(w), np.empty(w)
+    log_scale, sum_log_a_next = np.empty(w), np.empty(w)
     chunk = max(1, _BLOCK // K)
     for c0 in range(0, w, chunk):
         c = min(chunk, w - c0)
         xs, ys = exact_orbit_phases(x[c0:c0 + c, None], y[c0:c0 + c, None], starts, m.omega)
         # the state of every segment, as (segments, rows, points)
         U = np.empty((K, 4, c))
-        S, A, D, B = (np.empty((K, c)) for _ in range(4))
+        S, A, B = (np.empty((K, c)) for _ in range(3))
         # |a| = 0 makes logs of 0 on the way to the admission error below
         with np.errstate(divide="ignore", invalid="ignore"):
-            for cp, *state in _sweep(m, xs.ravel(), ys.ravel(), E, cps, _A_FLOOR):
+            for cp, u, scale, a_sum, _, small in _sweep(m, xs.ravel(), ys.ravel(), E, cps,
+                                                        _A_FLOOR):
                 ends = lengths == cp
-                U[ends] = state[0].reshape(4, c, K)[:, :, ends].transpose(2, 0, 1)
-                for dst, src in zip((S, A, D, B), state[1:]):
+                U[ends] = u.reshape(4, c, K)[:, :, ends].transpose(2, 0, 1)
+                for dst, src in zip((S, A, B), (scale, a_sum, small)):
                     dst[ends] = src.reshape(c, K)[:, ends].T
         # a_i of segment k is a_{k seg + i} of the orbit
         first = np.where(B > 0, B + starts[:, None], np.inf).min(axis=0)
@@ -200,8 +210,9 @@ def orbit_product(m: JacobiModel, x, y, E: float,
         u, log_scale[rows] = _tree_fold(U, S)
         unit[rows] = u.T.reshape(c, 2, 2)
         sum_log_a_next[rows] = _running_total(A[0], A[1:])
-        log_det[rows] = _running_total(D[0], D[1:])
-    sign_a = np.sign(m.a(exact_orbit_phases(x, y, 1, m.omega)[1])) ** (n % 2)
+    a_1, a_n1 = m.a(exact_orbit_phases(x[:, None], y[:, None], [1, n + 1], m.omega)[1]).T
+    log_det = np.log(np.abs(a_1)) - np.log(np.abs(a_n1)) if n else np.zeros(w)
+    sign_a = np.sign(a_1) ** (n % 2)
     return (CocycleProduct(sign_a[:, None, None] * unit, log_scale - sum_log_a_next, log_det, n),
             CocycleProduct(unit, log_scale, log_det + 2.0 * sum_log_a_next, n))
 
@@ -403,6 +414,15 @@ def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total
 
 
+def _running_product(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total * rows[0] * rows[1] * ..., multiplied left to right as a loop
+    of `total *= row` multiplies them, in one call: np.multiply.reduce has no
+    pairwise form and multiplies in row order along any axis."""
+    if len(rows) == 1:
+        return total * rows[0]
+    return np.multiply.reduce(np.concatenate((total[None], rows)), axis=0)
+
+
 def _tree_fold(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """U_{K-1} ... U_1 U_0 of a (K, 4, c) stack of unit matrices (rows m00,
     m01, m10, m11) with (K, c) log scales, as ((4, c) unit, (c,) log scale).
@@ -435,6 +455,76 @@ def _renorm_every(m: JacobiModel, E: float) -> int:
     return max(1, int(300.0 / math.log(max(g, g / m.inf_abs_a ** 2))))
 
 
+def _signed(q: np.ndarray) -> np.ndarray:
+    """Q0.64 turns as signed offsets in [-1/2, 1/2), which keeps trig
+    arguments small (an int64 view times 2^-64, cheap where uint64 -> float64
+    is not)."""
+    return q.view(np.int64) * 2.0**-64
+
+
+class _OffsetTurns:
+    """(cos, sin) of 2 pi k Phi_j(y) for the x-frequencies k of v, one
+    y-block of steps at a time, without trig at y's shape on most steps.
+
+    Phi_{j+1} = Phi_j + Y + theta_j, so step j + 1 is step j turned by
+    F_j = e^{2 pi i k Y} e^{2 pi i k theta_j}: a table of y taken once per
+    sweep, trig of theta_j (one value per step), and two complex multiplies
+    in real arithmetic at y's shape.  Every step j with (j - 1) % _ANCHOR == 0
+    is set from the exact offset instead (k Phi_j reduced mod 1 in Q0.64,
+    through `_quarter`), and a block's last step carries into the next, so a
+    value depends on its step and point alone, never on block lengths.  The
+    steps that sit at one place of their anchor interval are turned together,
+    so a block costs min(_ANCHOR - 1, steps) vectorized passes.
+    """
+
+    def __init__(self, ks, Y: np.ndarray, rows: int):
+        self.Y, self.ks, self.last = Y, [(k, np.uint64(k % 2**64)) for k in ks], 0
+        with np.errstate(over="ignore"):
+            angles = [TWO_PI * _signed(q * Y) for _, q in self.ks]
+        self.tables = [(np.cos(t), np.sin(t)) for t in angles]
+        # per k, cos and sin of the block's steps, row 0 the step before it
+        self.turns = np.empty((len(ks), 2, rows + 1) + Y.shape)
+        self.f = np.empty((3, rows if ks else 0) + Y.shape)  # F_j's cos, sin, scratch
+
+    def __call__(self, steps: np.ndarray, phi0: np.ndarray, theta: np.ndarray) -> dict:
+        """The turns of steps j0 .. j1 - 1, as {k: (cos, sin)} rows, from
+        the column of steps j0 - 1 .. j1 - 1 with Phi_s(0) and theta_s of
+        each (Q0.64); Phi_s(y) = s Y + Phi_s(0)."""
+        L = len(steps) - 1
+        if not self.ks:
+            return {}
+        j0 = int(steps[1].flat[0])
+        first = 1 + (1 - j0) % _ANCHOR  # the row of the block's first anchor
+        anchors = slice(first, L + 1, _ANCHOR)
+        fc, fs, tmp = self.f[:, :L]
+        out = {}
+        with np.errstate(over="ignore"):
+            phi = steps[anchors].astype(np.uint64) * self.Y + phi0[anchors]
+            for (k, q), (tc, ts), (rc, rs) in zip(self.ks, self.tables, self.turns):
+                rc[0], rs[0] = rc[self.last], rs[self.last]
+                rc[anchors], rs[anchors] = _quarter(TWO_PI, _signed(q * phi))
+                ang = TWO_PI * _signed(q * theta[:L])
+                ec, es = np.cos(ang), np.sin(ang)
+                # F of steps j0 - 1 .. j1 - 2
+                np.multiply(tc, ec, out=fc)
+                fc -= np.multiply(ts, es, out=tmp)
+                np.multiply(ts, ec, out=fs)
+                fs += np.multiply(tc, es, out=tmp)
+                for p in range(1, _ANCHOR):
+                    i = 1 + (p + 1 - j0) % _ANCHOR
+                    if i > L:
+                        continue
+                    cur, prev = slice(i, L + 1, _ANCHOR), slice(i - 1, L, _ANCHOR)
+                    t = tmp[prev]
+                    np.multiply(rc[prev], fc[prev], out=rc[cur])
+                    rc[cur] -= np.multiply(rs[prev], fs[prev], out=t)
+                    np.multiply(rs[prev], fc[prev], out=rs[cur])
+                    rs[cur] += np.multiply(rc[prev], fs[prev], out=t)
+                out[k] = rc[1:L + 1], rs[1:L + 1]
+        self.last = L
+        return out
+
+
 def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
            checkpoints: list[int], a_floor: float | None = None):
     """The batched sweep kernel: yields the state at each checkpoint.
@@ -443,25 +533,28 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
     distinct checkpoint n, in order.  u is the (4, ...) unit part m00, m01,
     m10, m11 of A'_n ... A'_1, log_scale its log magnitude (both at the
     broadcast shape); sum_log_a_next = sum_j log|a_{j+1}| and log_det =
-    sum_j log|a_j| - log|a_{j+1}| live at y's shape.  With `a_floor`,
-    small_a (y's shape) holds the first i in 1..n+1 with |a_i| < a_floor, 0
-    if there is none; without it, small_a is None.  The arrays are the
-    sweep's own and change when it resumes: read or copy them first.
+    log|a_1| - log|a_{n+1}| live at y's shape.  With `a_floor`, small_a (y's
+    shape) holds the first i in 1..n+1 with |a_i| < a_floor, 0 if there is
+    none; without it, small_a is None.  The arrays are the sweep's own and
+    change when it resumes: read or copy them first.
 
     `x` and `y` are equal-rank arrays (see `batched_log_norm_checkpoints`).
     Step j sits at (x + Phi_j(y), y + theta_j), exact offsets of y and omega
     quantized once (`torus.orbit_offsets`); a and lam*v - E come from `along`
-    tables of x and y, so trig runs on the offsets alone, at y's shape.
-    y-blocks of max(1, _BLOCK // y.size) steps, cut at every checkpoint, do
-    what has y's shape (offsets, a, a^2 and the logs, v's offset stage);
-    x-blocks of max(1, _BLOCK // samples) steps inside them write lam*v_j - E
-    into rows allocated once per sweep.  The state is the top rows t_j and
-    t_{j-1} of P_j = [t_j; a_{j+1} t_{j-1}], stepped by t_j = (lam*v_j - E)
-    t_{j-1} - a_j^2 t_{j-2} from t_0 = (1, 0) / sqrt 2.  It is divided by
-    its Frobenius norm (within a factor 2 of ||P_j||, as 1 <= |a| <= 2) after
-    each step j with j % r == 0 (`_renorm_every`), and a checkpoint reads out
-    [t_n; a_{n+1} t_{n-1}] normalized, so with the log sums added in step
-    order its values are bitwise those of a sweep that stops there.
+    tables of x and y, so trig runs on theta_j alone, and on Phi_j only at
+    the anchors of `_OffsetTurns`, which turns the rest.  y-blocks of
+    max(1, _BLOCK // y.size) steps, cut at every checkpoint, do what has y's
+    shape (offsets, a, a^2, the running products of |a|, v's offset stage);
+    x-blocks of max(1, _BLOCK // samples) steps inside them write
+    lam*v_j - E into rows allocated once per sweep.  The state is the top
+    rows t_j and t_{j-1} of P_j = [t_j; a_{j+1} t_{j-1}], stepped by
+    t_j = (lam*v_j - E) t_{j-1} - a_j^2 t_{j-2} from t_0 = (1, 0) / sqrt 2.
+    It is divided by its Frobenius norm (within a factor 2 of ||P_j||, as
+    1 <= |a| <= 2) after each step j with j % r == 0 (`_renorm_every`).
+    sum_log_a_next adds the log of each product of |a_{j+1}| over steps
+    j <= k _PRODUCT, reset at every such step, and of the running one.  A
+    checkpoint reads out [t_n; a_{n+1} t_{n-1}] normalized, so its values
+    are bitwise those of a sweep that stops there.
     """
     shape = np.broadcast_shapes(x.shape, y.shape)
     y_block = max(1, _BLOCK // max(1, y.size))
@@ -471,15 +564,17 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
         spans += [(j0, min(j0 + y_block, n + 1)) for j0 in range(done + 1, n + 1, y_block)]
         done = n
     every = _renorm_every(m, E)
-    Y, W = q64(y), q64(m.omega)
+    W, origin = q64(m.omega), np.zeros((1,) * len(shape), dtype=np.uint64)
     a_at, v_at = m.a.along(y), m.v.along(x, y, m.lam, -E)
+    turns = _OffsetTurns(m.v.x_frequencies, q64(y), y_block)
 
     r = math.sqrt(2.0)
     t, s, spare = np.zeros((3, 2) + shape)  # s is P_0's bottom row until a_1 is known
     t[0] = s[1] = 1.0 / r
     log_scale = np.full(shape, math.log(r))
-    sum_log_a_next = np.zeros(y.shape)   # sum_j log|a_{j+1}|
-    log_det = np.zeros(y.shape)          # accumulates log|a_j| - log|a_{j+1}|
+    sum_log_a_next = np.zeros(y.shape)  # logs of the finished products
+    a_next = np.ones(y.shape)           # the running product of |a_{j+1}|
+    log_a_1 = None
     small_a = None if a_floor is None else np.zeros(y.shape, dtype=np.int64)
     # the state is updated in place and the scratch rows are preallocated: a
     # working set that outgrows the cache costs more at wide blocks than it saves
@@ -505,23 +600,29 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
         bottom *= inv
         np.log(f, out=f)
         f += log_scale
-        return n, unit, f, sum_log_a_next, log_det, small_a
+        if n == 0:
+            return n, unit, f, np.zeros(y.shape), np.zeros(y.shape), small_a
+        log_a_n1 = np.log(np.abs(a_n1))
+        return (n, unit, f, sum_log_a_next + np.log(a_next), log_a_1 - log_a_n1, small_a)
 
     if 0 in checkpoints:
         yield readout(0, 1.0)
     for j0, j1 in spans:
-        steps = np.arange(j0, j1 + 1).reshape((-1,) + (1,) * len(shape))
-        # signed offsets in [-1/2, 1/2) turns keep the trig arguments small
-        phi, theta = (q.view(np.int64) * 2.0**-64 for q in orbit_offsets(Y, W, steps))
-        a = a_at(theta)  # a_j, j0 <= j <= j1
+        steps = np.arange(j0 - 1, j1 + 1).reshape((-1,) + (1,) * len(shape))
+        # Phi_s(0) and theta_s of steps j0 - 1 <= s <= j1, one value per step
+        phi0, theta_q = orbit_offsets(origin, W, steps)
+        theta = _signed(theta_q)
+        a = a_at(theta[1:])  # a_j, j0 <= j <= j1
+        abs_a = np.abs(a)
         if j0 == 1:
             s /= a[0]
+            log_a_1 = np.log(abs_a[0])
         a_sq = a[:-1] * a[:-1]
-        if a_floor is not None:
-            low = np.abs(a) < a_floor
+        if a_floor is not None and abs_a.min() < a_floor:
+            low = abs_a < a_floor
             first = j0 + np.argmax(low, axis=0)
             small_a = np.where((small_a == 0) & low.any(axis=0), first, small_a)
-        v_rows = v_at.offsets(phi[:-1], theta[:-1])
+        v_rows = v_at.offsets(None, theta[1:-1], turns(steps[:-1], phi0[:-1], theta_q[:-1]))
         for i0 in range(0, j1 - j0, x_block):
             rows = v_rows(slice(i0, i0 + x_block), d[:j1 - j0 - i0])  # lam*v_j - E
             for j, d_j, a_sq_j in zip(range(j0 + i0, j1), rows, a_sq[i0:]):
@@ -535,9 +636,13 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
                     t *= inv
                     s *= inv
                     log_scale += np.log(fro, out=fro)
-        log_a = np.log(np.abs(a))
-        log_det = _running_total(log_det, log_a[:-1] - log_a[1:])
-        sum_log_a_next = _running_total(sum_log_a_next, log_a[1:])
+        # |a_{j+1}| of steps j0 <= j < j1 into the running products
+        i = 0
+        for j in range(-(-j0 // _PRODUCT) * _PRODUCT, j1, _PRODUCT):
+            a_next = _running_product(a_next, abs_a[1 + i:2 + j - j0])
+            sum_log_a_next += np.log(a_next)
+            a_next, i = np.ones(y.shape), j - j0 + 1
+        a_next = _running_product(a_next, abs_a[1 + i:])
         if j1 - 1 in checkpoints:
             yield readout(j1 - 1, a[-1])
 

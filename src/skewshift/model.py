@@ -191,23 +191,33 @@ class TrigPoly2:
             acc += _products(prods, fx, fy)
         return acc
 
+    @cached_property
+    def x_frequencies(self) -> tuple[int, ...]:
+        """The distinct frequencies k1 of the live terms that have an x factor."""
+        return tuple(sorted({round(w1 / TWO_PI) for w1, cos1, sin1, *_ in self._live
+                             if cos1 or sin1}))
+
     def along(self, x, y, scale=1.0, shift=0.0):
         """The evaluator at(sx, sy) = scale * self(x + sx, y + sy) + shift by
         angle addition from cos/sin tables of x and y (see `TrigPoly1.along`),
         in two stages: `at.offsets(sx, sy)` takes trig at the offsets' shapes,
         completing the y factors, and returns `rows(sl, out)`, which sums the
         rows `sl` of the offsets' leading (step) axis into `out`, bitwise the
-        one-shot call.  The map costs no pass of its own: scale sits in the x
-        tables (in the coefficients of a term constant in x) and the sum starts
-        at shift; at (1, 0) it changes no bit."""
+        one-shot call.  `at.offsets(None, sy, x_turns)` takes the x offsets'
+        trig from x_turns instead, a map from each of `x_frequencies` k1 to
+        (cos 2 pi k1 sx, sin 2 pi k1 sx).  The map costs no pass of its own:
+        scale sits in the x tables (in the coefficients of a term constant in
+        x) and the sum starts at shift; at (1, 0) it changes no bit."""
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         terms = [(prods if cos1 or sin1 else tuple((scale * c, i, j) for c, i, j in prods),
                   (scale * np.cos(w1 * x), scale * np.sin(w1 * x)) if cos1 or sin1 else None,
                   (np.cos(w2 * y), np.sin(w2 * y)) if cos2 or sin2 else None)
                  for w1, cos1, sin1, w2, cos2, sin2, prods in self._live]
 
-        def offsets(sx, sy):
-            staged = [(prods, tx, cos1, sin1, tx and _quarter(w1, sx),
+        def offsets(sx, sy, x_turns=None):
+            staged = [(prods, tx, cos1, sin1,
+                       tx and (_quarter(w1, sx) if x_turns is None
+                               else x_turns[round(w1 / TWO_PI)]),
                        _turn(ty, ty and _quarter(w2, sy), cos2, sin2))
                       for (w1, cos1, sin1, w2, cos2, sin2, _), (prods, tx, ty)
                       in zip(self._live, terms)]

@@ -26,6 +26,7 @@ from skewshift.cocycle import (
 from skewshift.lyapunov import Sampler
 from skewshift.model import (
     ModelAdmissionError,
+    _quarter,
     TrigPoly1,
     TrigPoly2,
     default_theorem_model,
@@ -639,15 +640,20 @@ def test_checkpoints_match_separate_sweeps(theorem_model, tame_model):
 def _textbook_sweep(m, x, y, E, checkpoints):
     """The batched sweep one step at a time, in three-term form.  Every step
     moves the exact Q0.64 offsets by integers, Phi_{j+1} = Phi_j + Y +
-    theta_j and theta_{j+1} = theta_j + W (mod 2^64), evaluates a_{j+1} and
-    lam*v_j - E through `along` at the signed offsets (a_j and log|a_j|
-    carried from the step before), adds each log to its running sum and
-    steps the top rows t_j = (lam*v_j - E) t_{j-1} - a_j^2 t_{j-2} of
-    P_j = [t_j; a_{j+1} t_{j-1}] from t_0 = (1, 0) / sqrt 2 and
-    t_{-1} = (0, 1 / sqrt 2) / a_1.  (t_j, t_{j-1}) is divided by its
-    Frobenius norm after every step j with j % r == 0, and a read-out
-    normalizes a copy of [t_n; a_{n+1} t_{n-1}].  The reference the block
-    kernel must match bitwise."""
+    theta_j and theta_{j+1} = theta_j + W (mod 2^64).  For each x-frequency
+    k of v, (cos, sin) of 2 pi k Phi_j is taken from k Phi_j mod 2^64 through
+    `_quarter` at steps j with (j - 1) % _ANCHOR == 0, and is step j - 1's
+    turned by F_{j-1} = e^{2 pi i k Y} e^{2 pi i k theta_{j-1}} otherwise (two
+    complex multiplies in real arithmetic).  a_{j+1} and lam*v_j - E come
+    through `along` at the signed offsets (a_j carried from the step before),
+    and |a_{j+1}| multiplies into a running product whose log joins the sum
+    after every step j with j % _PRODUCT == 0.  The top rows
+    t_j = (lam*v_j - E) t_{j-1} - a_j^2 t_{j-2} of P_j = [t_j; a_{j+1} t_{j-1}]
+    start at t_0 = (1, 0) / sqrt 2 and t_{-1} = (0, 1 / sqrt 2) / a_1.
+    (t_j, t_{j-1}) is divided by its Frobenius norm after every step j with
+    j % r == 0, and a read-out normalizes a copy of [t_n; a_{n+1} t_{n-1}],
+    with log det = log|a_1| - log|a_{n+1}|.  The reference the block kernel
+    must match bitwise."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     shape = np.broadcast_shapes(x.shape, y.shape)
@@ -659,24 +665,37 @@ def _textbook_sweep(m, x, y, E, checkpoints):
     def signed(q):
         return q.view(np.int64) * 2.0**-64
 
+    def trig(q):
+        ang = 2.0 * math.pi * signed(q)
+        return np.cos(ang), np.sin(ang)
+
     Y, W = q64(y), q64(m.omega)
+    ks = {k: np.uint64(k % 2**64) for k in m.v.x_frequencies}
+    tables = {k: trig(q * Y) for k, q in ks.items()}
+    turns = {}
     phi, theta = Y.copy(), np.full((1,) * len(shape), W)  # Phi_1, theta_1
     a_next = a_at(signed(theta))
-    log_a_next = np.log(np.abs(a_next))
+    log_a_1 = np.log(np.abs(a_next))
     r = math.sqrt(2.0)
     t0, t1 = np.full(shape, 1.0 / r), np.zeros(shape)
     s0, s1 = np.zeros(shape) / a_next, np.full(shape, 1.0 / r) / a_next
     log_scale = np.full(shape, math.log(r))
-    sum_log_a_next, log_det = np.zeros(y.shape), np.zeros(y.shape)
+    sum_log_a_next, product = np.zeros(y.shape), np.ones(y.shape)
     out, j = {}, 0
     for n in checkpoints:
         while j < n:
             j += 1
-            a_j, log_a_j = a_next, log_a_next
+            for k, q in ks.items():
+                if (j - 1) % cocycle._ANCHOR == 0:
+                    turns[k] = _quarter(2.0 * math.pi, signed(q * phi))
+                else:
+                    (tc, ts), (ec, es), (rc, rs) = tables[k], trig(q * (theta - W)), turns[k]
+                    fc, fs = tc * ec - ts * es, ts * ec + tc * es
+                    turns[k] = rc * fc - rs * fs, rs * fc + rc * fs
+            a_j = a_next
             theta_next = theta + W
             a_next = a_at(signed(theta_next))
-            log_a_next = np.log(np.abs(a_next))
-            d = d_at(signed(phi), signed(theta))
+            d = d_at.offsets(None, signed(theta), turns)(..., np.empty(shape))
             phi, theta = phi + Y + theta, theta_next
             a_sq = a_j * a_j
             t0, t1, s0, s1 = d * t0 - a_sq * s0, d * t1 - a_sq * s1, t0, t1
@@ -685,8 +704,9 @@ def _textbook_sweep(m, x, y, E, checkpoints):
                 inv = 1.0 / fro
                 t0, t1, s0, s1 = t0 * inv, t1 * inv, s0 * inv, s1 * inv
                 log_scale += np.log(fro)
-            sum_log_a_next += log_a_next
-            log_det += log_a_j - log_a_next
+            product = product * np.abs(a_next)
+            if j % cocycle._PRODUCT == 0:
+                sum_log_a_next, product = sum_log_a_next + np.log(product), np.ones(y.shape)
         if n == 0:
             z = np.zeros(math.prod(shape))
             out[0] = {"log_norm": z, "log_norm_u": z, "log_norm_a": z, "log_det": z}
@@ -698,7 +718,8 @@ def _textbook_sweep(m, x, y, E, checkpoints):
         det_u = u00 * u11 - u01 * u10
         disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
         log_norm_a = (log_scale + np.log(fro)) + 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
-        log_norm = log_norm_a - sum_log_a_next
+        log_norm = log_norm_a - (sum_log_a_next + np.log(product))
+        log_det = log_a_1 - np.log(np.abs(a_next))
         out[n] = {"log_norm": log_norm.ravel(),
                   "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
                   "log_norm_a": log_norm_a.ravel(),
@@ -759,11 +780,13 @@ def test_folded_row_stage_is_lam_v_minus_E(y_dependent, log_lam, e_frac, cuts, s
 def _block_checkpoints(width, y_width):
     # read-outs at 0, 1, T, T + 1 and 3T - 1 cross block edges for every
     # block length T tried (T = 1 included), of the x-blocks (T = block //
-    # samples) and of the y-blocks (T = block // y.size)
+    # samples) and of the y-blocks (T = block // y.size); those at the
+    # anchor and product intervals and one step either side cross their edges
+    edges = {n + e for n in (cocycle._ANCHOR, cocycle._PRODUCT) for e in (-1, 0, 1)}
     out = {}
     for block in (1, 2, 3, 7, cocycle._BLOCK):
         ts = {max(1, block // width), max(1, block // y_width)}
-        out[block] = sorted({0, 1} | {n for t in ts for n in (t, t + 1, 3 * t - 1)})
+        out[block] = sorted({0, 1} | edges | {n for t in ts for n in (t, t + 1, 3 * t - 1)})
     return out
 
 
@@ -868,6 +891,40 @@ def test_kernel_matches_exact_oracle_at_1024(theorem_model):
     for m in (theorem_model, _y_dependent_model(), negative_a):
         _assert_matches_oracle(m, gx, gy, 0.3, 1024)
         _assert_matches_oracle(m, *mc, 0.3, 1024)
+
+
+def test_offset_turns_track_the_exact_offsets():
+    # the rotated (cos, sin) of 2 pi k Phi_j, handed over in blocks of 1 to 5
+    # steps as the kernel hands them, against np.cos and np.sin of the exact
+    # signed offsets k Phi_j mod 1 over four anchor intervals: the drift stays
+    # within about an ulp per step since the last anchor, whatever k is
+    rng = np.random.default_rng(67)
+    y = rng.random((1, 50))
+    Y, W = q64(y), q64(default_theorem_model().omega)
+    ks = (1, 7, 31, -31)
+    turns, A = cocycle._OffsetTurns(ks, Y, 5), cocycle._ANCHOR
+    origin, j0 = np.zeros((1, 1), dtype=np.uint64), 1
+    while j0 <= 4 * A:
+        j1 = min(j0 + int(rng.integers(1, 6)), 4 * A + 1)
+        steps = np.arange(j0 - 1, j1).reshape(-1, 1, 1)
+        got = turns(steps, *torus.orbit_offsets(origin, W, steps))
+        phi, _ = torus.orbit_offsets(Y, W, steps[1:])
+        for k in ks:
+            ang = 2.0 * math.pi * (np.uint64(k % 2**64) * phi).view(np.int64) * 2.0**-64
+            for want, val in zip((np.cos(ang), np.sin(ang)), got[k]):
+                assert np.all(np.abs(val - want) <= 1e-15 * (1 + A / 2)), (k, j0)
+        j0 = j1
+
+
+def test_kernel_matches_exact_oracle_with_a_high_harmonic():
+    # a k1 = 31 harmonic turns fastest under the rotation; n = 1024 spans 128
+    # anchor intervals at _ANCHOR = 8
+    v = TrigPoly2(((1, 0, 1.0, 0.0, 0.0, 0.0), (31, 1, 0.2, 0.0, 0.1, 0.05)))
+    m = make_model(lam=1e3, v=v, a=TrigPoly1(((0, 1.5, 0.0), (1, 0.3, 0.1))))
+    assert m.v.x_frequencies == (1, 31)
+    gx, gy = Sampler.grid(6).axes()
+    _assert_matches_oracle(m, gx, gy, 0.3, 1024)
+    _assert_matches_oracle(m, *Sampler.monte_carlo(8, 11).points(), 0.3, 1024)
 
 
 def test_kernel_range_at_extreme_lambda_and_energy():
