@@ -21,8 +21,6 @@ import numpy as np
 from .model import TWO_PI, JacobiModel, ModelAdmissionError, _quarter
 from .torus import TorusPoint, exact_orbit_phases, orbit_offsets, q64
 
-_RESCALE = 1e100
-_LOG_RESCALE = math.log(_RESCALE)
 _A_FLOOR = 1.0 - 1e-9
 _BLOCK = 16384  # elements per block of the batched sweep
 # steps per segment of `orbit_product`.  In-segment phases are the kernel's
@@ -107,27 +105,6 @@ def _log_unit_norm(m00, m01, m10, m11):
     return 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
 
 
-def transfer_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> np.ndarray:
-    """The one-step matrix A_n at the base point."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    a_n, a_n1, d = _one_step(m, base, E, n)
-    return np.array([[d / a_n1, -a_n / a_n1], [1.0, 0.0]])
-
-
-def inverse_transfer_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> np.ndarray:
-    """A_n^{-1} = (1/a_n) [[0, a_n], [-a_{n+1}, lam*v_n - E]]."""
-    a_n, a_n1, d = _one_step(m, base, E, n)
-    return (1.0 / a_n) * np.array([[0.0, a_n], [-a_n1, d]])
-
-
-def _one_step(m: JacobiModel, base: TorusPoint, E: float, n: int) -> tuple[float, float, float]:
-    """(a_n, a_{n+1}, lam*v_n - E) at exact phases, for any integer n."""
-    xs, ys = exact_orbit_phases(base.x, base.y, [n, n + 1], m.omega)
-    a_n, a_n1 = (m.a.eval_scalar(float(t)) for t in ys)
-    return a_n, a_n1, m.lam * m.v.eval_scalar(float(xs[0]), float(ys[0])) - E
-
-
 def orbit_values(m: JacobiModel, base: TorusPoint, n: int):
     """(a_vals, v_vals) along the orbit: a_vals[j] = a_j for j = 1..n+1,
     v_vals[j] = v_j for j = 1..n (index 0 unused).
@@ -209,7 +186,7 @@ def orbit_product(m: JacobiModel, x, y, E: float,
         rows = slice(c0, c0 + c)
         u, log_scale[rows] = _tree_fold(U, S)
         unit[rows] = u.T.reshape(c, 2, 2)
-        sum_log_a_next[rows] = _running_total(A[0], A[1:])
+        sum_log_a_next[rows] = np.add.accumulate(A)[-1]  # in segment order
     a_1, a_n1 = m.a(exact_orbit_phases(x[:, None], y[:, None], [1, n + 1], m.omega)[1]).T
     log_det = np.log(np.abs(a_1)) - np.log(np.abs(a_n1)) if n else np.zeros(w)
     sign_a = np.sign(a_1) ** (n % 2)
@@ -240,18 +217,42 @@ def normalize_unimodular(c: CocycleProduct) -> CocycleProduct:
                           _scalar(np.zeros(np.shape(c.log_det))), c.n)
 
 
-def _f_product(m: JacobiModel, base: TorusPoint, E: float, n: int):
-    """P = F_n ... F_1 with F_j = [[lam*v_j - E, -a_j^2], [1, 0]], n >= 1.
+def f_determinants(m: JacobiModel, x, y, E: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log|f_n|, sign) at the base points (x[i], y[i]) for the n x n
+    tridiagonal determinant with diagonal lam*v_j - E and off-diagonal -a_j:
+    the m00 entry of `orbit_product`'s A'_n ... A'_1 = diag(1, a_{n+1})
+    F_n ... F_1 diag(1, 1/a_1), with F_j as in `fundamental_matrix_via_f`
+    (raises at |a| < 1 along the orbit; f_n = 0 gives (-inf, 0))."""
+    A = orbit_product(m, x, y, E, n)[1]
+    f = A.unit[:, 0, 0]
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(f)) + A.log_scale, np.sign(f)
 
-    F_j maps (f_{j-1}, f_{j-2}) to (f_j, f_{j-1}) for the three-term
-    recurrence f_j = (lam*v_j - E) f_{j-1} - a_j^2 f_{j-2}, f_0 = 1,
+
+def f_determinant(m: JacobiModel, base: TorusPoint, E: float, n: int) -> tuple[float, int]:
+    """The one-point view of `f_determinants`."""
+    log_f, sign = f_determinants(m, [base.x], [base.y], E, n)
+    return float(log_f[0]), int(sign[0])
+
+
+def fundamental_matrix_via_f(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
+    """M_n assembled from the f-recurrence product P = F_n ... F_1 and
+    log-sums of the a_j, built from `orbit_values` apart from the kernel: the
+    independent cross-check of `fundamental_matrix`.
+
+    F_j = [[lam*v_j - E, -a_j^2], [1, 0]] maps (f_{j-1}, f_{j-2}) to
+    (f_j, f_{j-1}) for f_j = (lam*v_j - E) f_{j-1} - a_j^2 f_{j-2}, f_0 = 1,
     f_{-1} = 0, so P = [[f_n, -a_1^2 f'_{n-1}], [f_{n-1}, -a_1^2 f'_{n-2}]]
-    with f' the recurrence at the shifted base T(x, y) (f'_{-1} = 0).
-    The K = ceil(n / _SEGMENT) segments of the product are stepped side by
-    side with per-step Frobenius renormalization (the last, shorter one is
-    read at its own step) and multiplied by `_tree_fold`.  Returns the
-    (2, 2) unit part, its log scale and `orbit_values`' a_vals.
+    with f' the recurrence at the shifted base T(x, y) (f'_{-1} = 0), and
+        [ f_n/prod_{2..n+1} a_j          -(a_1/a_2) f'_{n-1}/prod_{3..n+1} a_j ]
+        [ f_{n-1}/prod_{2..n} a_j        -(a_1/a_2) f'_{n-2}/prod_{3..n} a_j   ]
+    is M_n = diag(1, a_{n+1}) P diag(1, 1/a_1) / prod_{2..n+1} a_j.  The K =
+    ceil(n / _SEGMENT) segments of P are stepped side by side with per-step
+    Frobenius renormalization (the last, shorter one read at its own step)
+    and multiplied by `_tree_fold`.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     a_vals, v_vals = orbit_values(m, base, n)
     seg = _SEGMENT
     K = -(-n // seg)
@@ -279,139 +280,11 @@ def _f_product(m: JacobiModel, base: TorusPoint, E: float, n: int):
     logs = np.log(fro)
     logs[last:, -1] = 0.0
     unit, log_scale = _tree_fold(U, logs.sum(axis=0)[:, None])
-    return unit.reshape(2, 2), float(log_scale[0]), a_vals
-
-
-def f_determinant(m: JacobiModel, base: TorusPoint, E: float, n: int) -> tuple[float, int]:
-    """(log|f_n|, sign) for the n x n tridiagonal determinant with diagonal
-    lam*v_j - E and off-diagonal -a_j, read from `_f_product`."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0.0, 1
-    unit, log_scale, _ = _f_product(m, base, E, n)
-    f = float(unit[0, 0])
-    if f == 0.0:
-        return -math.inf, 0
-    return math.log(abs(f)) + log_scale, 1 if f > 0 else -1
-
-
-def fundamental_matrix_via_f(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
-    """M_n assembled from the f-recurrence product P of `_f_product` and
-    log-sums of the a_j.
-
-    Entry layout (f' evaluated at the shifted base T(x, y), where
-    a'_j = a_{j+1} and v'_j = v_{j+1}):
-        [ f_n/prod_{2..n+1} a_j          -(a_1/a_2) f'_{n-1}/prod_{3..n+1} a_j ]
-        [ f_{n-1}/prod_{2..n} a_j        -(a_1/a_2) f'_{n-2}/prod_{3..n} a_j   ]
-    that is diag(1, a_{n+1}) P diag(1, 1/a_1) / prod_{2..n+1} a_j.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    unit, log_scale, a_vals = _f_product(m, base, E, n)
     a_1, a_n1, rest = a_vals[1], a_vals[n + 1], a_vals[2:n + 2]
-    scaled = unit * np.array([[1.0, 1.0 / a_1], [a_n1, a_n1 / a_1]]) * np.prod(np.sign(rest))
-    c = CocycleProduct.from_matrices(scaled, log_scale - float(np.sum(np.log(np.abs(rest)))))
+    scaled = unit.reshape(2, 2) * np.array([[1.0, 1.0 / a_1], [a_n1, a_n1 / a_1]])
+    c = CocycleProduct.from_matrices(scaled * np.prod(np.sign(rest)), float(log_scale[0])
+                                     - float(np.sum(np.log(np.abs(rest)))))
     return CocycleProduct(c.unit, c.log_scale, math.log(abs(a_1)) - math.log(abs(a_n1)), n)
-
-
-@dataclass(frozen=True)
-class DifferenceSolution:
-    """A solution of the difference equation on sites n_min..n_max, carried
-    as (sign, log|value|) pairs so large-disorder growth cannot overflow."""
-
-    n_min: int
-    n_max: int
-    sign: np.ndarray
-    log_abs: np.ndarray
-
-    def value(self, n: int) -> float:
-        i = n - self.n_min
-        with np.errstate(over="ignore"):
-            return float(self.sign[i] * np.exp(self.log_abs[i]))
-
-
-def solve_difference_equation(
-    m: JacobiModel,
-    base: TorusPoint,
-    E: float,
-    n_min: int,
-    n_max: int,
-    initial: tuple[float, float],
-) -> DifferenceSolution:
-    """The unique solution of H phi = E phi with (phi(0), phi(1)) given.
-
-    Recurrence at site k: -a_{k+1} phi(k+1) - a_k phi(k-1) + lam v_k phi(k)
-    = E phi(k).  Sites n_min..n_max with n_min <= 0 < 1 <= n_max and the
-    range bounded by 1e4 on either side.
-    """
-    if not (n_min <= 0 and n_max >= 1):
-        raise ValueError("range must contain sites 0 and 1")
-    if max(abs(n_min), abs(n_max)) > 10_000:
-        raise ValueError("|n| must be <= 1e4")
-    size = n_max - n_min + 1
-    sign = np.zeros(size)
-    log_abs = np.full(size, -np.inf)
-
-    def store(site: int, val: float, offset: float):
-        i = site - n_min
-        if val == 0.0:
-            sign[i], log_abs[i] = 0.0, -np.inf
-        else:
-            sign[i] = 1.0 if val > 0 else -1.0
-            log_abs[i] = math.log(abs(val)) + offset
-
-    # a_k and lam*v_k - E at every site, from one call of the exact orbit primitive
-    xs, ys = exact_orbit_phases(base.x, base.y, np.arange(n_min, n_max + 1), m.omega)
-    a_all = m.a(ys).tolist()
-    d_all = [m.lam * v - E for v in m.v(xs, ys).tolist()]
-
-    def sweep(sites, step: int, prev: float, cur: float, b: list, c: list):
-        # phi(k + step) = (d_k phi(k) - b_k phi(k - step)) / c_k for k in sites,
-        # rescaled by _RESCALE whenever the pair outgrows it
-        offset = 0.0
-        for k in sites:
-            i = k - n_min
-            prev, cur = cur, (d_all[i] * cur - b[i] * prev) / c[i]
-            if max(abs(prev), abs(cur)) > _RESCALE:
-                prev /= _RESCALE
-                cur /= _RESCALE
-                offset += _LOG_RESCALE
-            store(k + step, cur, offset)
-
-    phi0, phi1 = float(initial[0]), float(initial[1])
-    store(0, phi0, 0.0)
-    store(1, phi1, 0.0)
-    # forward: b_k = a_k, c_k = a_{k+1}; backward: b_k = a_{k+1}, c_k = a_k
-    sweep(range(1, n_max), 1, phi0, phi1, a_all, a_all[1:])
-    sweep(range(0, n_min, -1), -1, phi1, phi0, a_all[1:], a_all)
-    return DifferenceSolution(n_min, n_max, sign, log_abs)
-
-
-def wronskian(m: JacobiModel, base: TorusPoint, phi: DifferenceSolution,
-              psi: DifferenceSolution, n: int) -> float:
-    """W_n = a_{n+1} (psi(n) phi(n+1) - phi(n) psi(n+1)); constant in n for
-    two solutions of the same equation."""
-    a_n1 = m.a.eval_scalar(float(exact_orbit_phases(base.x, base.y, n + 1, m.omega)[1]))
-    return a_n1 * (psi.value(n) * phi.value(n + 1) - phi.value(n) * psi.value(n + 1))
-
-
-def _running_total(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """total + rows[0] + rows[1] + ..., added left to right as a loop of
-    `total += row` adds them.
-
-    A block with at least as many rows as a row has elements is summed by
-    np.add.accumulate, which adds sequentially like the loop (np.sum and
-    np.add.reduce may add pairwise, which changes the bits) without paying
-    numpy's per-call cost on every row; wider rows keep the loop, where
-    accumulate's strided inner loop would cost more.
-    """
-    if len(rows) > 1 and len(rows) >= rows[0].size:
-        return np.add.accumulate(np.concatenate((total[None], rows)), axis=0)[-1]
-    total = total.copy()
-    for row in rows:
-        total += row
-    return total
 
 
 def _running_product(total: np.ndarray, rows: np.ndarray) -> np.ndarray:

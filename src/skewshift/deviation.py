@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cocycle import _BLOCK, orbit_product
+from .cocycle import _BLOCK, f_determinants
 from .lyapunov import (  # noqa: F401 (sample_log_norms re-exported)
     DEFAULT_WORK_BUDGET,
     LyapunovEstimate,
@@ -120,10 +120,8 @@ def _orbit_scan(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float, n: int) 
     |v_j - E/lam|, and (1/n) log|f_n|.
 
     v_j is evaluated at `exact_orbit_phases` for max(1, _BLOCK // n) points
-    at a time, so memory stays O(max(_BLOCK, n)).  f_n is the m00 entry of
-    `orbit_product`'s un-divided product A'_n ... A'_1 = diag(1, a_{n+1})
-    F_n ... F_1 diag(1, 1/a_1), with F_j the f-recurrence steps of
-    `_f_product`.
+    at a time, so memory stays O(max(_BLOCK, n)).  log|f_n| is
+    `cocycle.f_determinants`, read from the kernel's product.
     """
     shift = E / m.lam
     birkhoff, log_det_diag, min_abs = (np.empty(x.size) for _ in range(3))
@@ -136,9 +134,7 @@ def _orbit_scan(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float, n: int) 
         birkhoff[rows] = np.log(w).sum(axis=1)
         log_det_diag[rows] = np.log(np.abs(m.lam * v - E)).sum(axis=1)
         min_abs[rows] = w.min(axis=1)
-    _, A = orbit_product(m, x, y, E, n)
-    with np.errstate(divide="ignore"):
-        log_f = np.log(np.abs(A.unit[:, 0, 0])) + A.log_scale
+    log_f = f_determinants(m, x, y, E, n)[0]
     return {
         "birkhoff": birkhoff / n,
         "log_det_diag": log_det_diag / n,

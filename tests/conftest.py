@@ -11,7 +11,7 @@ from skewshift.model import (
     model_from_dict,
     model_to_dict,
 )
-from skewshift.torus import GOLDEN_MEAN, Frequency, TorusPoint
+from skewshift.torus import GOLDEN_MEAN, Frequency, TorusPoint, exact_orbit_phases
 
 
 @pytest.fixture(scope="session")
@@ -50,10 +50,17 @@ def constant_model(a0=1.0, v0=0.0, lam=0.0, omega=GOLDEN_MEAN):
                             lam, Frequency(omega, 0.05))
 
 
+def transfer_matrix(m, base, E, n):
+    """The one-step matrix A_n at the base point, n >= 1, from scalar
+    evaluations of a and v at exact phases, apart from the kernel."""
+    xs, ys = exact_orbit_phases(base.x, base.y, [n, n + 1], m.omega)
+    a_n, a_n1 = (m.a.eval_scalar(float(t)) for t in ys)
+    d = m.lam * m.v.eval_scalar(float(xs[0]), float(ys[0])) - E
+    return np.array([[d / a_n1, -a_n / a_n1], [1.0, 0.0]])
+
+
 def dense_product(m, base, E, n):
     """Plain numpy oracle for the n-step transfer-matrix product."""
-    from skewshift.cocycle import transfer_matrix
-
     out = np.eye(2)
     for j in range(1, n + 1):
         out = transfer_matrix(m, base, E, j) @ out

@@ -16,12 +16,8 @@ from skewshift.cocycle import (
     fundamental_matrix,
     fundamental_matrix_a,
     fundamental_matrix_via_f,
-    inverse_transfer_matrix,
     normalize_unimodular,
     orbit_values,
-    solve_difference_equation,
-    transfer_matrix,
-    wronskian,
 )
 from skewshift.lyapunov import Sampler
 from skewshift.model import (
@@ -36,7 +32,8 @@ from skewshift.model import (
 from skewshift.avalanche import avalanche_check, cocycle_blocks
 from skewshift.torus import TorusPoint, mod1, q64, skew_shift_iterate
 
-from conftest import constant_model, dense_product, make_model, random_points, tridiag_det
+from conftest import (constant_model, dense_product, make_model, random_points,
+                      transfer_matrix, tridiag_det)
 
 
 # ---------------------------------------------------------------- log-scaled
@@ -115,15 +112,6 @@ def test_transfer_matrix_entries(tame_model):
     assert A[1, 1] == 0.0
 
 
-def test_inverse_transfer_matrix(tame_model):
-    m = tame_model
-    p = TorusPoint(0.31, 0.17)
-    for j in (1, 2, 5):
-        A = transfer_matrix(m, p, 0.3, j)
-        B = inverse_transfer_matrix(m, p, 0.3, j)
-        assert np.allclose(B @ A, np.eye(2), atol=1e-12)
-
-
 def test_orbit_values_track_iterates(tame_model):
     m = tame_model
     p = TorusPoint(0.11, 0.83)
@@ -183,7 +171,7 @@ def test_product_refuses_small_a_along_orbit(tame_model):
     # a = 1.2 + 0.5 cos(2 pi y) from y_1 = 0.1: a_1, a_2 >= 1 > a_3
     dip = dataclasses.replace(tame_model, a=TrigPoly1(((0, 1.2, 0.0), (1, 0.5, 0.0))))
     q = TorusPoint(0.3, mod1(0.1 - dip.omega))
-    for f in (fundamental_matrix, fundamental_matrix_a):
+    for f in (fundamental_matrix, fundamental_matrix_a, f_determinant):
         with pytest.raises(ModelAdmissionError, match="step 1$"):
             f(zero, p, 0.0, 1)
         f(dip, q, 0.0, 1)
@@ -559,46 +547,21 @@ def test_via_f_n1(tame_model):
 # ---------------------------------------------------------------- solutions
 
 
-def test_difference_solution_satisfies_recurrence(tame_model):
+def test_fundamental_matrix_steps_a_solution(tame_model):
+    # a solution of -a_{k+1} phi(k+1) - a_k phi(k-1) + lam v_k phi(k) =
+    # E phi(k), stepped forward from (phi(0), phi(1)): M_n maps (phi(1),
+    # phi(0)) to (phi(n+1), phi(n))
     m = tame_model
     p = TorusPoint(0.25, 0.65)
-    E = 0.4
-    sol = solve_difference_equation(m, p, E, -10, 15, (1.0, 0.5))
-    a_vals, v_vals = orbit_values(m, p, 15)
-    for j in range(1, 15):
-        lhs = (-a_vals[j + 1] * sol.value(j + 1) - a_vals[j] * sol.value(j - 1)
-               + m.lam * v_vals[j] * sol.value(j))
-        assert lhs == pytest.approx(E * sol.value(j), rel=1e-9, abs=1e-9)
-
-
-def test_difference_solution_initial_data(tame_model):
-    sol = solve_difference_equation(tame_model, TorusPoint(0.2, 0.3), 0.1,
-                                    0, 5, (2.0, -3.0))
-    assert sol.value(0) == pytest.approx(2.0)
-    assert sol.value(1) == pytest.approx(-3.0)
-
-
-def test_wronskian_constant(tame_model):
-    m = tame_model
-    p = TorusPoint(0.4, 0.8)
-    E = -0.2
-    phi = solve_difference_equation(m, p, E, -5, 20, (1.0, 0.0))
-    psi = solve_difference_equation(m, p, E, -5, 20, (0.0, 1.0))
-    w0 = wronskian(m, p, phi, psi, 0)
-    for n in (-4, 1, 5, 10, 18):
-        assert wronskian(m, p, phi, psi, n) == pytest.approx(w0, rel=1e-8)
-
-
-def test_backward_solution_matches_inverse_product(tame_model):
-    # phi(-k) from the backward sweep equals applying inverse one-step maps
-    m = tame_model
-    p = TorusPoint(0.15, 0.85)
-    E = 0.25
-    sol = solve_difference_equation(m, p, E, -6, 2, (1.3, 0.7))
-    vec = np.array([sol.value(1), sol.value(0)])
-    for k in range(0, 6):
-        vec = inverse_transfer_matrix(m, p, E, -k) @ vec
-        assert vec[1] == pytest.approx(sol.value(-k - 1), rel=1e-9, abs=1e-9)
+    E, N = 0.4, 15
+    a_vals, v_vals = orbit_values(m, p, N)
+    phi = [0.5, 1.0]
+    for k in range(1, N + 1):
+        phi.append(((m.lam * v_vals[k] - E) * phi[k] - a_vals[k] * phi[k - 1]) / a_vals[k + 1])
+    for n in (1, 2, 7, N):
+        c = fundamental_matrix(m, p, E, n)
+        got = math.exp(c.log_scale) * c.unit @ np.array([phi[1], phi[0]])
+        assert got == pytest.approx(np.array([phi[n + 1], phi[n]]), rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------- batched

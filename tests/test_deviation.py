@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skewshift import deviation
-from skewshift.cocycle import f_determinant
+from skewshift.cocycle import fundamental_matrix_via_f, orbit_values
 from skewshift.deviation import (
     CASE2_BOUND,
     DeviationError,
@@ -145,9 +145,10 @@ def test_initial_scale_budget_refusal(theorem_model):
 
 
 def test_orbit_scan_matches_exact_orbit(theorem_model):
-    # log|f_n| against the f-recurrence product, the sums against per-point
-    # sums over the exact orbit, for the theorem model and one whose a and v
-    # both depend on y
+    # log|f_n| against the f-recurrence product of `fundamental_matrix_via_f`
+    # (its own F_j loop, apart from the kernel), whose m00 entry is
+    # f_n / prod_{2..n+1} a_j; the sums against per-point sums over the exact
+    # orbit; for the theorem model and one whose a and v both depend on y
     y_model = make_model(
         lam=50.0, a=TrigPoly1(((0, 1.5, 0.0), (1, 0.3, 0.1), (2, 0.0, 0.05))),
         v=TrigPoly2(((1, 1, 0.5, 0.0, 0.0, 0.3), (0, 2, 0.2, 0.7, 0.0, 0.0),
@@ -157,7 +158,9 @@ def test_orbit_scan_matches_exact_orbit(theorem_model):
     for m, E in ((theorem_model, 0.3e6), (y_model, 10.0)):
         scan = deviation._orbit_scan(m, x, y, E, n)
         for i, p in enumerate(TorusPoint(a, b) for a, b in zip(x, y)):
-            log_f = f_determinant(m, p, E, n)[0] / n
+            cf = fundamental_matrix_via_f(m, p, E, n)
+            log_a = math.fsum(np.log(np.abs(orbit_values(m, p, n)[0][2:n + 2])))
+            log_f = (math.log(abs(cf.unit[0, 0])) + cf.log_scale + log_a) / n
             assert scan["log_f"][i] == pytest.approx(log_f, rel=1e-12, abs=0)
             v = m.v(*exact_orbit_phases(p.x, p.y, np.arange(1, n + 1), m.omega))
             w = np.abs(v - E / m.lam)

@@ -1,13 +1,16 @@
-"""The benchmark tracer wraps package functions by name; a deleted or renamed
-one would break traced benchmark runs, so its patches are checked here."""
+"""The benchmark wraps and calls package functions by name; a deleted or
+renamed one would break every benchmark run, so the names it reads are checked
+here."""
 
+import ast
 import importlib
 import importlib.util
 import sys
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 MODULES = ("torus", "model", "cocycle", "lyapunov", "deviation", "avalanche",
            "multiscale", "cli")
 
@@ -38,3 +41,51 @@ def test_tracing_install_finds_names_and_uninstall_restores(monkeypatch):
         tracer.uninstall()
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
+
+
+def _package_reads(path):
+    """(module, name) for each attribute chain ss.<module>.<name> or
+    self.ss.<module>.<name> in the file, and for <alias>.<name> where the
+    file binds <alias> to such a module (`cocycle = ss.cocycle`, also in a
+    tuple assignment)."""
+    tree = ast.parse(path.read_text())
+
+    def module_of(node):
+        # "cocycle" for ss.cocycle or self.ss.cocycle, else None
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in ("ss", "self.ss"):
+            return node.attr
+        return None
+
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts)
+                     if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                     else [(target, value)])
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and (module := module_of(v)) is not None:
+                    aliases[t.id] = module
+    reads = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        module = module_of(node.value)
+        if module is None and isinstance(node.value, ast.Name):
+            module = aliases.get(node.value.id)
+        if module is not None:
+            reads.add((module, node.attr))
+    return reads
+
+
+def test_benchmark_reads_only_names_the_package_has():
+    reads = _package_reads(PERFBENCH / "run.py") | _package_reads(PERFBENCH / "selftest.py")
+    # the names the benchmark's workloads and self-test rest on
+    assert {("multiscale", "resolve_config"), ("model", "save_model"),
+            ("model", "default_theorem_model"), ("torus", "TorusPoint"),
+            ("lyapunov", "lyapunov_profile"), ("avalanche", "avalanche_on_cocycle"),
+            ("cocycle", "fundamental_matrix_via_f")} <= reads
+    for module, name in sorted(reads):
+        assert module in MODULES, module
+        assert hasattr(importlib.import_module(f"skewshift.{module}"), name), \
+            f"skewshift.{module}.{name}"
