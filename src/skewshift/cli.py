@@ -45,11 +45,11 @@ EXIT_BUDGET = 3
 
 def _threads(args) -> int | None:
     env = env_threads()
-    return env if env is not None else getattr(args, "threads", None)
+    return env if env is not None else args.threads
 
 
 def _sampler(args) -> Sampler:
-    if getattr(args, "mc", None):
+    if args.mc:
         return Sampler.monte_carlo(int(float(args.mc)), args.seed)
     return Sampler.grid(args.grid)
 
@@ -157,10 +157,8 @@ def cmd_avalanche(args) -> int:
 
 def cmd_induction(args) -> int:
     m = load_model(args.model)
-    grid = Sampler.grid(args.grid)
-    dev_s = Sampler.monte_carlo(int(float(args.mc)), args.seed) if args.mc else grid
-    rec = induction_step(m, args.E, args.n, args.N, args.gamma, grid,
-                         deviation_sampler=dev_s, budget=args.budget,
+    rec = induction_step(m, args.E, args.n, args.N, args.gamma, Sampler.grid(args.grid),
+                         deviation_sampler=_sampler(args), budget=args.budget,
                          threads=_threads(args))
     _emit(rec.to_json(), args.out)
     return EXIT_OK
@@ -293,12 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="skewshift", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--model", required=False)
+    def common(sp, mc=True):
+        # the flags of every command that sweeps a model's cocycle
+        sp.add_argument("--model", required=True)
+        sp.add_argument("--E", type=float, required=True)
+        sp.add_argument("--grid", type=int, default=64)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--budget", type=float, default=DEFAULT_WORK_BUDGET)
+        if mc:
+            sp.add_argument("--mc", default=None)
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("diophantine", help="Diophantine frequency scan")
     sp.add_argument("--omega", type=float, required=True)
@@ -309,26 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lyapunov", help="finite-scale Lyapunov profile")
     common(sp)
-    sp.add_argument("--E", type=float, required=True)
     sp.add_argument("--scales", required=True)
-    sp.add_argument("--mc", default=None)
-    sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--kind", default="plain", choices=KINDS)
     sp.set_defaults(fn=cmd_lyapunov)
 
     sp = sub.add_parser("deviation", help="large-deviation measure")
     common(sp)
-    sp.add_argument("--E", type=float, required=True)
     sp.add_argument("--scales", required=True)
     sp.add_argument("--tau", type=float, default=0.25)
     sp.add_argument("--threshold", type=float, default=None)
-    sp.add_argument("--mc", default=None)
-    sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--kind", default="plain", choices=KINDS)
     sp.set_defaults(fn=cmd_deviation)
 
     sp = sub.add_parser("avalanche", help="avalanche-principle check")
-    common(sp)
+    sp.add_argument("--model", default=None)
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--budget", type=float, default=DEFAULT_WORK_BUDGET)
     sp.add_argument("--demo", choices=["diag", "hyperbolic"], default=None)
     sp.add_argument("--mu", type=float, default=1e4)
     sp.add_argument("--n", type=int, default=100)
@@ -341,28 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("induction", help="multiscale induction step")
     common(sp)
-    sp.add_argument("--E", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--gamma", type=float, default=0.5)
-    sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--mc", default=None)
     sp.set_defaults(fn=cmd_induction)
 
     sp = sub.add_parser("continuity", help="energy-continuity probe")
-    common(sp)
-    sp.add_argument("--E", type=float, required=True)
+    common(sp, mc=False)
     sp.add_argument("--deltas", required=True)
     sp.add_argument("--N", type=int, default=8)
-    sp.add_argument("--grid", type=int, default=64)
     sp.set_defaults(fn=cmd_continuity)
 
     sp = sub.add_parser("initial-scale", help="large-disorder diagnostics")
     common(sp)
-    sp.add_argument("--E", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--mc", default=None)
-    sp.add_argument("--grid", type=int, default=64)
     sp.set_defaults(fn=cmd_initial_scale)
 
     sp = sub.add_parser("run", help="full theorem-mode pipeline")

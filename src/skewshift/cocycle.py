@@ -97,6 +97,15 @@ def _scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
+def _refuse_small_a(first: np.ndarray) -> None:
+    """Raise ModelAdmissionError at the first point, in C order, that has an
+    entry in `first` (its first orbit index i with |a_i| < 1, 0 for none),
+    naming the first step that meets it: a_1 and a_2 enter step 1, a_{j+1} step j."""
+    hit = first[first > 0]
+    if hit.size:
+        raise ModelAdmissionError(f"|a| < 1 along the orbit at step {max(1, int(hit[0]) - 1)}")
+
+
 def _log_unit_norm(m00, m01, m10, m11):
     """log||u||_2 of unit-Frobenius 2x2 matrices u in closed form:
     ||u||_2^2 = (1 + sqrt(1 - 4 det(u)^2)) / 2."""
@@ -144,9 +153,7 @@ def orbit_product(m: JacobiModel, x, y, E: float,
     A point's values do not depend on the chunking, and for n <= _SEGMENT
     (K = 1) its one segment is the read-out of `batched_log_norm_checkpoints`.
 
-    A step j whose a_j or a_{j+1} lies below 1 in absolute value raises
-    ModelAdmissionError naming the first such j (of the first point that
-    has one); it is read from the `a` rows the kernel evaluates anyway.
+    |a| < 1 along an orbit raises ModelAdmissionError (`_refuse_small_a`).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -169,20 +176,15 @@ def orbit_product(m: JacobiModel, x, y, E: float,
         # the state of every segment, as (segments, rows, points)
         U = np.empty((K, 4, c))
         S, A, B = (np.empty((K, c)) for _ in range(3))
-        # |a| = 0 makes logs of 0 on the way to the admission error below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for cp, u, scale, a_sum, _, small in _sweep(m, xs.ravel(), ys.ravel(), E, cps,
-                                                        _A_FLOOR):
+        with np.errstate(divide="ignore", invalid="ignore"):  # |a| = 0, refused below
+            for cp, u, scale, a_sum, _, small in _sweep(m, xs.ravel(), ys.ravel(), E, cps):
                 ends = lengths == cp
                 U[ends] = u.reshape(4, c, K)[:, :, ends].transpose(2, 0, 1)
                 for dst, src in zip((S, A, B), (scale, a_sum, small)):
                     dst[ends] = src.reshape(c, K)[:, ends].T
         # a_i of segment k is a_{k seg + i} of the orbit
         first = np.where(B > 0, B + starts[:, None], np.inf).min(axis=0)
-        if np.isfinite(first).any():
-            a_i = int(first[np.isfinite(first)][0])
-            # a_1 and a_2 enter step 1, a_{j+1} step j
-            raise ModelAdmissionError(f"|a| < 1 along the orbit at step {max(1, a_i - 1)}")
+        _refuse_small_a(np.where(np.isfinite(first), first, 0))
         rows = slice(c0, c0 + c)
         u, log_scale[rows] = _tree_fold(U, S)
         unit[rows] = u.T.reshape(c, 2, 2)
@@ -399,17 +401,17 @@ class _OffsetTurns:
 
 
 def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
-           checkpoints: list[int], a_floor: float | None = None):
+           checkpoints: list[int]):
     """The batched sweep kernel: yields the state at each checkpoint.
 
     Yields (n, u, log_scale, sum_log_a_next, log_det, small_a) once per
     distinct checkpoint n, in order.  u is the (4, ...) unit part m00, m01,
     m10, m11 of A'_n ... A'_1, log_scale its log magnitude (both at the
     broadcast shape); sum_log_a_next = sum_j log|a_{j+1}| and log_det =
-    log|a_1| - log|a_{n+1}| live at y's shape.  With `a_floor`, small_a (y's
-    shape) holds the first i in 1..n+1 with |a_i| < a_floor, 0 if there is
-    none; without it, small_a is None.  The arrays are the sweep's own and
-    change when it resumes: read or copy them first.
+    log|a_1| - log|a_{n+1}| live at y's shape, and so does small_a, the first
+    i in 1..n+1 with |a_i| < 1 (0 if there is none; read by one min of |a|
+    per y-block), which callers hand to `_refuse_small_a`.  The arrays are
+    the sweep's own and change when it resumes: read or copy them first.
 
     `x` and `y` are equal-rank arrays (see `batched_log_norm_checkpoints`).
     Step j sits at (x + Phi_j(y), y + theta_j), exact offsets of y and omega
@@ -448,7 +450,7 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
     sum_log_a_next = np.zeros(y.shape)  # logs of the finished products
     a_next = np.ones(y.shape)           # the running product of |a_{j+1}|
     log_a_1 = None
-    small_a = None if a_floor is None else np.zeros(y.shape, dtype=np.int64)
+    small_a = np.zeros(y.shape, dtype=np.int64)
     # the state is updated in place and the scratch rows are preallocated: a
     # working set that outgrows the cache costs more at wide blocks than it saves
     unit = np.empty((4,) + shape)  # a read-out's m00, m01, m10, m11
@@ -491,8 +493,8 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
             s /= a[0]
             log_a_1 = np.log(abs_a[0])
         a_sq = a[:-1] * a[:-1]
-        if a_floor is not None and abs_a.min() < a_floor:
-            low = abs_a < a_floor
+        if abs_a.min() < _A_FLOOR:
+            low = abs_a < _A_FLOOR
             first = j0 + np.argmax(low, axis=0)
             small_a = np.where((small_a == 0) & low.any(axis=0), first, small_a)
         v_rows = v_at.offsets(None, theta[1:-1], turns(steps[:-1], phi0[:-1], theta_q[:-1]))
@@ -538,8 +540,9 @@ def batched_log_norm_checkpoints(
     on a fixed schedule of steps; the plain and unimodular log-norms follow by
     the exact scalar relations M_n = M_n^a / prod a_{j+1} and M^u = M /
     |det M|^{1/2}.  A checkpoint reads out a normalized copy of the state, so
-    its values are bitwise those of a separate n-step sweep.  `batched_log_norms` is the
-    one-scale view that folds long orbits in log depth.
+    its values are bitwise those of a separate n-step sweep.  |a| < 1 along
+    an orbit up to the last checkpoint raises ModelAdmissionError, as
+    `orbit_product` does (`_refuse_small_a`).
 
     `x` and `y` are equal-length sample lists or broadcastable axes of a
     product grid, e.g. x of shape (R, 1) or (R, C) and y of shape (1, C).
@@ -558,21 +561,22 @@ def batched_log_norm_checkpoints(
     # equal ranks, so that a block stacks its steps on a leading axis
     x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
     y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
-    out = {}
-    for n, u, log_scale, sum_log_a_next, log_det, _ in _sweep(m, x, y, E, checkpoints):
-        if n == 0:
-            z = np.zeros(math.prod(shape))
-            out[0] = {"log_norm": z, "log_norm_u": z.copy(), "log_norm_a": z.copy(),
-                      "log_det": z.copy()}
-            continue
-        log_norm_a = log_scale + _log_unit_norm(*u)
-        log_norm = log_norm_a - sum_log_a_next
-        out[n] = {
-            "log_norm": log_norm.ravel(),
-            "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
-            "log_norm_a": log_norm_a.ravel(),
-            "log_det": np.broadcast_to(log_det, shape).flatten(),
-        }
+    out, small_a = {}, 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # |a| = 0, refused below
+        for n, u, log_scale, sum_log_a_next, log_det, small_a in _sweep(m, x, y, E, checkpoints):
+            if n == 0:
+                out[0] = {key: np.zeros(math.prod(shape))
+                          for key in ("log_norm", "log_norm_u", "log_norm_a", "log_det")}
+                continue
+            log_norm_a = log_scale + _log_unit_norm(*u)
+            log_norm = log_norm_a - sum_log_a_next
+            out[n] = {
+                "log_norm": log_norm.ravel(),
+                "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
+                "log_norm_a": log_norm_a.ravel(),
+                "log_det": np.broadcast_to(log_det, shape).flatten(),
+            }
+    _refuse_small_a(np.broadcast_to(small_a, shape))
     return out
 
 
@@ -583,21 +587,14 @@ def batched_log_norms(
     E: float,
     n: int,
 ) -> dict[str, np.ndarray]:
-    """log||M_n||_2 at many base points, with exact long-orbit phases.
+    """log||M_n||_2 at many base points: the log-norm view of `orbit_product`.
 
     Returns arrays log_norm, log_norm_u, log_norm_a, log_det, ravelled as in
-    `batched_log_norm_checkpoints`.  For n <= _SEGMENT this is that kernel's
-    one-checkpoint view, bitwise.  Beyond, the values come from
-    `orbit_product` over the ravelled points (segments swept side by side
-    and folded in log depth, the faster form for narrow inputs), so
-    log_norm at each point is bitwise `fundamental_matrix(...).log_norm`
-    there, and |a| < 1 along an orbit raises ModelAdmissionError as there.
+    `batched_log_norm_checkpoints`.  log_norm at each point is bitwise
+    `fundamental_matrix(...).log_norm` there, at every n, and |a| < 1 along
+    an orbit raises ModelAdmissionError as there.
     """
-    if n <= _SEGMENT:
-        return batched_log_norm_checkpoints(m, x, y, E, [n])[n]
-    x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=np.float64)),
-                               np.atleast_1d(np.asarray(y, dtype=np.float64)))
-    M, A = orbit_product(m, x, y, E, n)
+    M, A = orbit_product(m, *np.broadcast_arrays(x, y), E, n)
     log_norm = M.log_norm
     return {
         "log_norm": log_norm,

@@ -315,8 +315,8 @@ def almost_invariance_defect(
     """sup over sample points of |(1/K) sum_{k=1..K} u_n(T^k p) - u_n(p)|
     with u_n = (1/n) log||M_n^u||.  The empty average (K = 0) is 0.  The
     K + 1 sweeps are charged together against `budget` before the first."""
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    if n < 1 or K < 0:
+        raise ValueError("n must be positive and K nonnegative")
     if K == 0:
         return 0.0
     charge((K + 1) * n, sampler, budget)
@@ -349,6 +349,8 @@ def subadditivity_check(
     L_{n+m} come from one sweep; both sweeps are charged together against
     `budget` before the first.
     """
+    if n < 1 or msteps < 1:
+        raise ValueError("n and m must be positive")
     charge(n + 2 * msteps, grid, budget)
     u = log_norm_sweep(m, E, [n, n + msteps], grid, budget=budget, threads=threads)
     u_full, u_n = u[n + msteps]["plain"], u[n]["plain"]

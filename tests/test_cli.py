@@ -89,6 +89,31 @@ def test_missing_model_exit_2(capsys):
     assert "error" in err
 
 
+def test_model_required_exit_2(capsys):
+    # every command that loads a model needs --model (it crashed with a
+    # TypeError, exit 1, without it); avalanche may take --demo instead
+    for argv in (["lyapunov", "--E", "0", "--scales", "10"],
+                 ["deviation", "--E", "0", "--scales", "10"],
+                 ["induction", "--E", "0", "--n", "4", "--N", "16"],
+                 ["continuity", "--E", "0", "--deltas", "1e-2"],
+                 ["initial-scale", "--E", "0", "--n", "10"]):
+        with pytest.raises(SystemExit) as ei:
+            run_cli(*argv)
+        assert ei.value.code == 2, argv
+        assert "--model" in capsys.readouterr().err
+
+
+def test_unread_flags_refused(model_path, capsys):
+    # continuity draws no samples and avalanche runs on one thread
+    for argv in (["continuity", "--model", model_path, "--E", "0", "--deltas", "1e-2",
+                  "--seed", "3"],
+                 ["avalanche", "--demo", "diag", "--threads", "2"]):
+        with pytest.raises(SystemExit) as ei:
+            run_cli(*argv)
+        assert ei.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_avalanche_demo_diag(capsys):
     code = run_cli("avalanche", "--demo", "diag", "--mu", "1e4", "--n", "100")
     assert code == 0

@@ -584,6 +584,26 @@ def test_batched_matches_scalar(tame_model):
         assert out["log_det"][i] == pytest.approx(cp.log_det, abs=1e-8)
 
 
+def test_batched_log_norms_is_the_product_view_at_every_n(tame_model):
+    # one path on either side of _SEGMENT: each point's log-norm is bitwise
+    # fundamental_matrix's, and the dip model is refused at n = 100 as at
+    # n = 129 (n = 100 returned 1292.997 on a kernel branch of its own)
+    rng = np.random.default_rng(61)
+    x, y = rng.random(4), rng.random(4)
+    for n in (0, 1, 20, 128, 129):
+        out = batched_log_norms(tame_model, x, y, -0.4, n)
+        for i in range(4):
+            c = fundamental_matrix(tame_model, TorusPoint(float(x[i]), float(y[i])), -0.4, n)
+            assert out["log_norm"][i] == c.log_norm, (n, i)
+            assert out["log_det"][i] == c.log_det, (n, i)
+    dip = dataclasses.replace(tame_model, a=TrigPoly1(((0, 1.099, 0.0), (1, 0.1, 0.0))))
+    for n in (100, 129):
+        with pytest.raises(ModelAdmissionError, match="step 27$"):
+            fundamental_matrix(dip, TorusPoint(0.3, 0.2), 0.0, n)
+        with pytest.raises(ModelAdmissionError, match="step 27$"):
+            batched_log_norms(dip, np.array([0.3]), np.array([0.2]), 0.0, n)
+
+
 def test_checkpoints_match_separate_sweeps(theorem_model, tame_model):
     # checkpoint 0, a repeated checkpoint, and a read-out mid-sweep must be
     # bitwise the values of a sweep that stops there
@@ -594,7 +614,7 @@ def test_checkpoints_match_separate_sweeps(theorem_model, tame_model):
                                            [0, 1, 4, 4, 9])
         assert sorted(out) == [0, 1, 4, 9]
         for n, got in out.items():
-            want = batched_log_norms(m, pts[:, 0], pts[:, 1], 0.35, n)
+            want = batched_log_norm_checkpoints(m, pts[:, 0], pts[:, 1], 0.35, [n])[n]
             for key in ("log_norm", "log_norm_u", "log_norm_a", "log_det"):
                 assert np.array_equal(got[key], want[key]), (n, key)
     assert np.array_equal(out[0]["log_norm"], np.zeros(17))

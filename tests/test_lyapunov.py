@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from skewshift import lyapunov
-from skewshift.cocycle import batched_log_norms, fundamental_matrix
+from skewshift.cocycle import batched_log_norm_checkpoints, fundamental_matrix
 from skewshift.lyapunov import (
     KINDS,
     BudgetError,
@@ -20,7 +21,7 @@ from skewshift.lyapunov import (
     sample_log_norms,
     subadditivity_check,
 )
-from skewshift.model import TrigPoly1, TrigPoly2
+from skewshift.model import ModelAdmissionError, TrigPoly1, TrigPoly2
 from skewshift.torus import TorusPoint, exact_orbit_phases, skew_shift_iterate
 
 from conftest import ESTIMATE_KEYS, constant_model, make_model
@@ -159,7 +160,7 @@ def test_sweep_matches_separate_sweeps_across_chunks(tame_model, monkeypatch):
                                  threads=threads)
             assert sorted(out) == [0, 2, 5]
             for n in (0, 2, 5):
-                sep = batched_log_norms(m, x, y, 0.2, n)
+                sep = batched_log_norm_checkpoints(m, x, y, 0.2, [n])[n]
                 for kind in KINDS:
                     want = sep[keys[kind]] / n if n else sep[keys[kind]]
                     assert np.array_equal(out[n][kind], want), (s, shift, n, kind)
@@ -176,11 +177,50 @@ def test_shifted_sweep_matches_fraction_oracle(theorem_model):
         points = [TorusPoint(x, y) for x, y in zip(*s.points())]
         for shift in (10**4, 10**6, 10**9):
             moved = [skew_shift_iterate(p, shift, m.omega) for p in points]
-            want = batched_log_norms(m, np.array([p.x for p in moved]),
-                                     np.array([p.y for p in moved]), E, n)
+            want = batched_log_norm_checkpoints(m, np.array([p.x for p in moved]),
+                                                np.array([p.y for p in moved]), E, [n])[n]
             got = log_norm_sweep(m, E, [n], s, KINDS, shift=shift)[n]
             for kind in KINDS:
                 assert np.array_equal(got[kind], want[keys[kind]] / n), (s, shift, kind)
+
+
+def _first_refusal(m, xs, ys, E, n):
+    # what fundamental_matrix says at the first point, in ravelled order, it refuses
+    for x, y in zip(xs, ys):
+        try:
+            fundamental_matrix(m, TorusPoint(float(x), float(y)), E, n)
+        except ModelAdmissionError as exc:
+            return str(exc)
+    return None
+
+
+def test_estimators_refuse_small_a_as_the_products(tame_model, monkeypatch):
+    # models built past admission: every estimator refuses |a| < 1 along a
+    # sampled orbit with the step fundamental_matrix names at the first such
+    # point in ravelled order, whatever the chunking and thread count (a = 0
+    # gave nan, the dip a value).  On the dip model the first such point is
+    # not the one with the earliest step: grid point 0 meets it at step 3 and
+    # point 2 at step 1, MC point 1 at step 2 and point 8 at step 1
+    zero = dataclasses.replace(tame_model, a=TrigPoly1.constant(0.0))
+    dip = dataclasses.replace(tame_model, a=TrigPoly1(((0, 1.099, 0.0), (1, 0.1, 0.0))))
+    cases = [(zero, Sampler.grid(4), 5, "step 1"),
+             (dip, Sampler.grid(6, 10), 8, "step 3"),
+             (dip, Sampler.monte_carlo(40, 6), 5, "step 2")]
+    for m, s, n, step in cases:
+        want = _first_refusal(m, *s.points(), 0.0, n)
+        assert want.endswith(step)
+        inputs = [s.points()] + ([s.axes()] if s.kind == "grid" else [])
+        calls = [lambda: lyapunov_finite(m, 0.0, n, s)]
+        calls += [lambda t=t: log_norm_sweep(m, 0.0, [2, n], s, KINDS, threads=t)
+                  for t in (1, 2)]
+        calls += [lambda x=x, y=y: batched_log_norm_checkpoints(m, x, y, 0.0, [1, n])
+                  for x, y in inputs]
+        for chunk in (16384, 4):
+            monkeypatch.setattr(lyapunov, "_CHUNK", chunk)
+            for call in calls:
+                with pytest.raises(ModelAdmissionError) as ei:
+                    call()
+                assert str(ei.value) == want, (s, chunk)
 
 
 def test_sweep_budget_checked_before_points(tame_model):
@@ -224,6 +264,18 @@ def test_subadditivity_exact_on_matched_grid(tame_model):
     out = subadditivity_check(tame_model, 0.3, 6, 6, Sampler.grid(32))
     assert out["lhs"] <= out["rhs"] + 1e-9
     assert out["slack"] >= -1e-9
+
+
+def test_multi_sweep_checks_refuse_empty_scales(tame_model):
+    # n = 0 (or m = 0) gave a trivial slack or defect of 0.0; the estimators
+    # refuse it as lyapunov_estimates does
+    grid = Sampler.grid(4)
+    for n, msteps in ((0, 6), (6, 0), (-1, 6)):
+        with pytest.raises(ValueError):
+            subadditivity_check(tame_model, 0.3, n, msteps, grid)
+    for K in (0, 3):
+        with pytest.raises(ValueError):
+            almost_invariance_defect(tame_model, 0.1, 0, K, grid)
 
 
 def test_almost_invariance_zero_at_k0(tame_model):

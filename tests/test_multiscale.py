@@ -240,6 +240,34 @@ def test_theorem_mode_run_deterministic(tmp_path, run_model, small_cfg):
             assert Path(pa).read_bytes() == Path(pb).read_bytes(), name
 
 
+def test_theorem_mode_run_two_energies(tmp_path, run_model, small_cfg):
+    # each per-energy stage writes its records energy by energy in E_grid
+    # order, the continuity probe runs at the first energy, and the archive
+    # is byte-identical at threads 1 and 2
+    E_grid = [0.0, 37.5]
+    cfg = dict(small_cfg, E_grid=E_grid)
+    files = [theorem_mode_run(run_model, cfg, str(tmp_path / f"t{t}"), threads=t)["files"]
+             for t in (1, 2)]
+    assert files[0] == files[1]
+    records = tmp_path / "t1" / "records"
+
+    def energies(name, key=lambda rec: rec["E"]):
+        return [key(json.loads(line)) for line in (records / name).read_text().splitlines()]
+
+    scales = cfg["scales"]
+    assert energies("lyapunov.jsonl", lambda r: (r["E"], r["n"], r["kind"])) == [
+        (E, n, kind) for E in E_grid for n in scales
+        for kind in ("a_normalized", "plain", "unimodular")]
+    assert energies("initial_scale.jsonl") == E_grid
+    assert energies("induction.jsonl", lambda r: r["L_n_u"]["E"]) == E_grid
+    assert energies("deviation.jsonl", lambda r: (r["E"], r["n"])) == [
+        (E, n) for E in E_grid for n in cfg["deviation_scales"]]
+    assert energies("continuity.jsonl", lambda r: r["E_center"]) == [E_grid[0]]
+    rows = (tmp_path / "t1" / "tables" / "lyapunov.csv").read_text().splitlines()[1:]
+    assert [tuple(map(float, r.split(",")[:2])) for r in rows] == [
+        (E, n) for E in E_grid for n in scales]
+
+
 def test_run_stage_error_carries_stage(tmp_path, run_model, small_cfg):
     bad_model_dict = model_to_dict(run_model)
     bad_model_dict["omega"] = 0.5  # rational frequency: Diophantine scan fails

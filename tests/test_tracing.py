@@ -5,6 +5,8 @@ here."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -89,3 +91,13 @@ def test_benchmark_reads_only_names_the_package_has():
         assert module in MODULES, module
         assert hasattr(importlib.import_module(f"skewshift.{module}"), name), \
             f"skewshift.{module}.{name}"
+
+
+def test_benchmark_selftest_has_teeth(tmp_path):
+    # the benchmark's checks must each fail on a perturbed output of this
+    # package; run as a script, writing no bytecode into perfbench/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "all checks have teeth" in proc.stdout
