@@ -287,8 +287,17 @@ def _write_fig(out_dir, name, header, rows, title, xlabel, ylabel):
         fh.write(_svg_polyline(xs, ys, title, xlabel, ylabel))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error (a missing or unknown flag) as JSON on stderr,
+    exit 2, like every other validation error; subparsers inherit it."""
+
+    def error(self, message):
+        sys.stderr.write(json.dumps({"error": "ArgumentError", "message": message}) + "\n")
+        sys.exit(EXIT_VALIDATION)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="skewshift", description=__doc__)
+    p = _Parser(prog="skewshift", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, mc=True):

@@ -4,7 +4,7 @@ Conventions (base point (x, y) fixed):
     a_j = a(y + j*omega),   v_j = v(T^j(x, y)),
     A_j   = (1/a_{j+1}) [[lam*v_j - E, -a_j], [a_{j+1}, 0]],
     A'_j  =             [[lam*v_j - E, -a_j], [a_{j+1}, 0]],
-    M_n   = A_n ... A_1  (identity at n = 0),   det M_n = a_1 / a_{n+1}.
+    M_n   = A_n ... A_1  (n >= 1),   det M_n = a_1 / a_{n+1}.
 
 Every product, one or a stack, is a `CocycleProduct`: unit-Frobenius
 matrices, their log magnitudes and exact log|det|, so that norms growing like
@@ -108,9 +108,10 @@ def _refuse_small_a(first: np.ndarray) -> None:
 
 def _log_unit_norm(m00, m01, m10, m11):
     """log||u||_2 of unit-Frobenius 2x2 matrices u in closed form:
-    ||u||_2^2 = (1 + sqrt(1 - 4 det(u)^2)) / 2."""
-    det_u = m00 * m11 - m01 * m10
-    disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
+    ||u||_2^2 = (1 + sqrt(1 - 4 det(u)^2)) / 2, with 1 - 4 det(u)^2 =
+    ((m00 - m11)^2 + (m01 + m10)^2) ((m00 + m11)^2 + (m01 - m10)^2) for
+    ||u||_F = 1, so that a near-conformal u (sigma_1 ~ sigma_2) loses no digits."""
+    disc = ((m00 - m11) ** 2 + (m01 + m10) ** 2) * ((m00 + m11) ** 2 + (m01 - m10) ** 2)
     return 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
 
 
@@ -155,13 +156,13 @@ def orbit_product(m: JacobiModel, x, y, E: float,
 
     |a| < 1 along an orbit raises ModelAdmissionError (`_refuse_small_a`).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     w = x.size
     seg = _SEGMENT
-    K = max(1, -(-n // seg))
+    K = -(-n // seg)
     last = n - (K - 1) * seg  # steps in each point's last segment
     cps = sorted({last, seg}) if K > 1 else [last]
     lengths = np.full(K, seg)
@@ -190,14 +191,14 @@ def orbit_product(m: JacobiModel, x, y, E: float,
         unit[rows] = u.T.reshape(c, 2, 2)
         sum_log_a_next[rows] = np.add.accumulate(A)[-1]  # in segment order
     a_1, a_n1 = m.a(exact_orbit_phases(x[:, None], y[:, None], [1, n + 1], m.omega)[1]).T
-    log_det = np.log(np.abs(a_1)) - np.log(np.abs(a_n1)) if n else np.zeros(w)
+    log_det = np.log(np.abs(a_1)) - np.log(np.abs(a_n1))
     sign_a = np.sign(a_1) ** (n % 2)
     return (CocycleProduct(sign_a[:, None, None] * unit, log_scale - sum_log_a_next, log_det, n),
             CocycleProduct(unit, log_scale, log_det + 2.0 * sum_log_a_next, n))
 
 
 def fundamental_matrix(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
-    """M_n = A_n ... A_1 as a log-scaled product (identity at n = 0).
+    """M_n = A_n ... A_1 as a log-scaled product, n >= 1.
 
     The one-point view of `orbit_product`: exact segment starts, one kernel
     sweep over the segments, folded pairwise.  Raises
@@ -231,12 +232,6 @@ def f_determinants(m: JacobiModel, x, y, E: float, n: int) -> tuple[np.ndarray, 
         return np.log(np.abs(f)) + A.log_scale, np.sign(f)
 
 
-def f_determinant(m: JacobiModel, base: TorusPoint, E: float, n: int) -> tuple[float, int]:
-    """The one-point view of `f_determinants`."""
-    log_f, sign = f_determinants(m, [base.x], [base.y], E, n)
-    return float(log_f[0]), int(sign[0])
-
-
 def fundamental_matrix_via_f(m: JacobiModel, base: TorusPoint, E: float, n: int) -> CocycleProduct:
     """M_n assembled from the f-recurrence product P = F_n ... F_1 and
     log-sums of the a_j, built from `orbit_values` apart from the kernel: the
@@ -248,44 +243,25 @@ def fundamental_matrix_via_f(m: JacobiModel, base: TorusPoint, E: float, n: int)
     with f' the recurrence at the shifted base T(x, y) (f'_{-1} = 0), and
         [ f_n/prod_{2..n+1} a_j          -(a_1/a_2) f'_{n-1}/prod_{3..n+1} a_j ]
         [ f_{n-1}/prod_{2..n} a_j        -(a_1/a_2) f'_{n-2}/prod_{3..n} a_j   ]
-    is M_n = diag(1, a_{n+1}) P diag(1, 1/a_1) / prod_{2..n+1} a_j.  The K =
-    ceil(n / _SEGMENT) segments of P are stepped side by side with per-step
-    Frobenius renormalization (the last, shorter one read at its own step)
-    and multiplied by `_tree_fold`.
+    is M_n = diag(1, a_{n+1}) P diag(1, 1/a_1) / prod_{2..n+1} a_j.  P is
+    one `_tree_fold` of the factors F_j / ||F_j||_F with log scales
+    log ||F_j||_F, in ceil(log2 n) levels.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a_vals, v_vals = orbit_values(m, base, n)
-    seg = _SEGMENT
-    K = -(-n // seg)
-    last = n - (K - 1) * seg
-    # steps past n, never read, are padded with the swap [[0, 1], [1, 0]]
-    d, a_sq = np.zeros(K * seg), np.full(K * seg, -1.0)
-    d[:n] = m.lam * v_vals[1:] - E
-    a_sq[:n] = a_vals[1:n + 1] * a_vals[1:n + 1]
-    d, a_sq = d.reshape(K, seg).T, a_sq.reshape(K, seg).T
-    u = np.zeros((4, K))  # the unit part m00, m01, m10, m11 of each segment
-    u[0] = u[3] = 1.0
-    t, fro = np.empty((2, K)), np.empty((seg, K))
-    U = np.empty((K, 4, 1))
-    for i in range(seg):
-        np.multiply(d[i], u[:2], out=t)
-        t -= a_sq[i] * u[2:]
-        u[2:] = u[:2]
-        u[:2] = t
-        f = fro[i]
-        np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3], out=f)
-        u /= f
-        if i == last - 1:
-            U[-1, :, 0] = u[:, -1]
-    U[:-1, :, 0] = u[:, :-1].T
-    logs = np.log(fro)
-    logs[last:, -1] = 0.0
-    unit, log_scale = _tree_fold(U, logs.sum(axis=0)[:, None])
-    a_1, a_n1, rest = a_vals[1], a_vals[n + 1], a_vals[2:n + 2]
+    a_1, a_n1, rest = a_vals[1], a_vals[n + 1], a_vals[2:]
+    sign, sum_log_a = np.prod(np.sign(rest)), float(np.sum(np.log(np.abs(rest))))
+    F = np.zeros((n, 4))  # m00, m01, m10, m11 of F_1 .. F_n
+    F[:, 0] = m.lam * v_vals[1:] - E
+    F[:, 1] = -(a_vals[1:n + 1] * a_vals[1:n + 1])
+    F[:, 2] = 1.0
+    del a_vals, v_vals, rest  # freed before the fold's transients
+    fro = np.sqrt(np.einsum("ij,ij->i", F, F))
+    F /= fro[:, None]
+    unit, log_scale = _tree_fold(F, np.log(fro, out=fro)[:, None])
     scaled = unit.reshape(2, 2) * np.array([[1.0, 1.0 / a_1], [a_n1, a_n1 / a_1]])
-    c = CocycleProduct.from_matrices(scaled * np.prod(np.sign(rest)), float(log_scale[0])
-                                     - float(np.sum(np.log(np.abs(rest)))))
+    c = CocycleProduct.from_matrices(scaled * sign, float(log_scale[0]) - sum_log_a)
     return CocycleProduct(c.unit, c.log_scale, math.log(abs(a_1)) - math.log(abs(a_n1)), n)
 
 
@@ -405,7 +381,7 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
     """The batched sweep kernel: yields the state at each checkpoint.
 
     Yields (n, u, log_scale, sum_log_a_next, log_det, small_a) once per
-    distinct checkpoint n, in order.  u is the (4, ...) unit part m00, m01,
+    distinct checkpoint n >= 1, in order.  u is the (4, ...) unit part m00, m01,
     m10, m11 of A'_n ... A'_1, log_scale its log magnitude (both at the
     broadcast shape); sum_log_a_next = sum_j log|a_{j+1}| and log_det =
     log|a_1| - log|a_{n+1}| live at y's shape, and so does small_a, the first
@@ -475,13 +451,8 @@ def _sweep(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float,
         bottom *= inv
         np.log(f, out=f)
         f += log_scale
-        if n == 0:
-            return n, unit, f, np.zeros(y.shape), np.zeros(y.shape), small_a
-        log_a_n1 = np.log(np.abs(a_n1))
-        return (n, unit, f, sum_log_a_next + np.log(a_next), log_a_1 - log_a_n1, small_a)
+        return n, unit, f, sum_log_a_next + np.log(a_next), log_a_1 - np.log(np.abs(a_n1)), small_a
 
-    if 0 in checkpoints:
-        yield readout(0, 1.0)
     for j0, j1 in spans:
         steps = np.arange(j0 - 1, j1 + 1).reshape((-1,) + (1,) * len(shape))
         # Phi_s(0) and theta_s of steps j0 - 1 <= s <= j1, one value per step
@@ -556,18 +527,14 @@ def batched_log_norm_checkpoints(
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     shape = np.broadcast_shapes(x.shape, y.shape)
     checkpoints = [int(n) for n in checkpoints]
-    if checkpoints != sorted(checkpoints) or (checkpoints and checkpoints[0] < 0):
-        raise ValueError("checkpoints must be nonnegative and ascending")
+    if checkpoints != sorted(checkpoints) or (checkpoints and checkpoints[0] < 1):
+        raise ValueError("checkpoints must be positive and ascending")
     # equal ranks, so that a block stacks its steps on a leading axis
     x = x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
     y = y.reshape((1,) * (len(shape) - y.ndim) + y.shape)
     out, small_a = {}, 0
     with np.errstate(divide="ignore", invalid="ignore"):  # |a| = 0, refused below
         for n, u, log_scale, sum_log_a_next, log_det, small_a in _sweep(m, x, y, E, checkpoints):
-            if n == 0:
-                out[0] = {key: np.zeros(math.prod(shape))
-                          for key in ("log_norm", "log_norm_u", "log_norm_a", "log_det")}
-                continue
             log_norm_a = log_scale + _log_unit_norm(*u)
             log_norm = log_norm_a - sum_log_a_next
             out[n] = {

@@ -200,7 +200,7 @@ def log_norm_sweep(
     out = {n: {} for n in scales}
     for n, kind in parts[0]:
         u = np.concatenate([p[n, kind] for p in parts])
-        out[n][kind] = u / n if n > 0 else u
+        out[n][kind] = u / n
     return out
 
 

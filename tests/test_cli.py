@@ -91,7 +91,8 @@ def test_missing_model_exit_2(capsys):
 
 def test_model_required_exit_2(capsys):
     # every command that loads a model needs --model (it crashed with a
-    # TypeError, exit 1, without it); avalanche may take --demo instead
+    # TypeError, exit 1, without it); avalanche may take --demo instead.
+    # The usage error is JSON on stderr, as every validation error is
     for argv in (["lyapunov", "--E", "0", "--scales", "10"],
                  ["deviation", "--E", "0", "--scales", "10"],
                  ["induction", "--E", "0", "--n", "4", "--N", "16"],
@@ -100,7 +101,9 @@ def test_model_required_exit_2(capsys):
         with pytest.raises(SystemExit) as ei:
             run_cli(*argv)
         assert ei.value.code == 2, argv
-        assert "--model" in capsys.readouterr().err
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ArgumentError", argv
+        assert "--model" in err["message"], argv
 
 
 def test_unread_flags_refused(model_path, capsys):
@@ -111,7 +114,9 @@ def test_unread_flags_refused(model_path, capsys):
         with pytest.raises(SystemExit) as ei:
             run_cli(*argv)
         assert ei.value.code == 2, argv
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ArgumentError", argv
+        assert "unrecognized arguments" in err["message"], argv
 
 
 def test_avalanche_demo_diag(capsys):
@@ -152,6 +157,13 @@ def test_avalanche_model_base(model_path, capsys):
                        "--blocks", "8", "--base", base)
         assert code == 2
         assert "--base" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_avalanche_model_n0_refused(model_path, capsys):
+    # products start at n = 1
+    code = run_cli("avalanche", "--model", model_path, "--n", "0", "--blocks", "8")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 def test_avalanche_model_budget(model_path, capsys):

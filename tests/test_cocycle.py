@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from skewshift.cocycle import (
     CocycleProduct,
     batched_log_norm_checkpoints,
     batched_log_norms,
-    f_determinant,
+    f_determinants,
     fundamental_matrix,
     fundamental_matrix_a,
     fundamental_matrix_via_f,
@@ -45,6 +46,42 @@ def test_spectral_norm_matches_numpy():
     norms = np.exp(CocycleProduct.from_matrices(mats).log_norm)
     for mat, norm in zip(mats, norms):
         assert norm == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
+
+
+def _svd_log_norm(u):
+    """log of the largest singular value of the float matrix u, by a
+    50-digit SVD."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(max(mpmath.svd_r(mpmath.matrix(u.tolist()), compute_uv=False))))
+
+
+def test_log_norm_near_conformal():
+    # sigma_1 ~ sigma_2: 1 - 4 det(u)^2 in the plain form kept half the
+    # digits (5.6e-17 read where log||M_1||_2 = 3.85e-9)
+    m = make_model(lam=1.0, a=TrigPoly1.constant(1.3))
+    p = TorusPoint(0.3, 0.2)
+    v_1 = float(orbit_values(m, p, 1)[1][1])
+    for gap in (-1e-12, -1e-8):
+        E = m.lam * v_1 - gap
+        want = _svd_log_norm(np.array([[gap / 1.3, -1.0], [1.0, 0.0]]))
+        got = (fundamental_matrix(m, p, E, 1).log_norm,
+               batched_log_norm_checkpoints(m, [p.x], [p.y], E, [1])[1]["log_norm"][0])
+        for val in got:
+            assert abs(val - want) <= 1e-15, (gap, val, want)
+    # random units R(s) diag(1 + eps, +-1) R(t): near-rotations (det(u) ~
+    # 1/2) and near-reflections (det(u) ~ -1/2)
+    rng = np.random.default_rng(71)
+    s, t = rng.random((2, 400)) * 2.0 * math.pi
+    eps = 10.0 ** rng.uniform(-14, -4, 400)
+
+    def rot(a):
+        return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]).transpose(2, 0, 1)
+    sv = np.zeros((400, 2, 2))
+    sv[:, 0, 0], sv[:, 1, 1] = 1.0 + eps, np.resize([1.0, -1.0], 400)
+    units = CocycleProduct.from_matrices(rot(s) @ sv @ rot(t)).unit
+    got = cocycle._log_unit_norm(*units.reshape(400, 4).T)
+    for u, val in zip(units, got):
+        assert abs(val - _svd_log_norm(u)) <= 1e-15
 
 
 def test_log_scaled_roundtrip():
@@ -164,14 +201,15 @@ def test_a_product_identity(tame_model):
 def test_product_refuses_small_a_along_orbit(tame_model):
     # models built past admission: |a| below the floor raises the admission
     # error at the step that first meets it, never a math domain error from
-    # log 0; n = 0 meets no a_j and raises nothing
+    # log 0; products start at n = 1
     zero = dataclasses.replace(tame_model, a=TrigPoly1.constant(0.0))
     p = TorusPoint(0.3, 0.2)
-    assert fundamental_matrix(zero, p, 0.0, 0).n == 0
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        fundamental_matrix(zero, p, 0.0, 0)
     # a = 1.2 + 0.5 cos(2 pi y) from y_1 = 0.1: a_1, a_2 >= 1 > a_3
     dip = dataclasses.replace(tame_model, a=TrigPoly1(((0, 1.2, 0.0), (1, 0.5, 0.0))))
     q = TorusPoint(0.3, mod1(0.1 - dip.omega))
-    for f in (fundamental_matrix, fundamental_matrix_a, f_determinant):
+    for f in (fundamental_matrix, fundamental_matrix_a, _f_at):
         with pytest.raises(ModelAdmissionError, match="step 1$"):
             f(zero, p, 0.0, 1)
         f(dip, q, 0.0, 1)
@@ -431,11 +469,17 @@ def test_cocycle_blocks_lie_on_the_orbit(theorem_model):
 # ---------------------------------------------------------------- f recurrence
 
 
+def _f_at(m, p, E, n):
+    """(log|f_n|, sign) at one base point, from `f_determinants`."""
+    log_f, sign = f_determinants(m, [p.x], [p.y], E, n)
+    return float(log_f[0]), int(sign[0])
+
+
 def _f_loop(a_vals, v_vals, lam, E, n):
     """Signed-log values of f_0..f_n by the three-term recurrence
     f_j = (lam*v_j - E) f_{j-1} - a_j^2 f_{j-2}, one step at a time,
     rescaled to avoid overflow; an exact zero has sign 0 and log -inf.  The
-    textbook oracle of `f_determinant` and `fundamental_matrix_via_f`."""
+    textbook oracle of `f_determinants` and `fundamental_matrix_via_f`."""
     signs = np.zeros(n + 1, dtype=np.int8)
     logs = np.full(n + 1, -np.inf)
     f_prev, f_cur = 0.0, 1.0  # f_{-1}, f_0
@@ -480,8 +524,9 @@ def _via_f_oracle(m, p, E, n):
 
 
 def test_f_product_matches_recurrence_oracle(tame_model, theorem_model, monkeypatch):
-    # the segmented product of the F_j against the step-by-step recurrence,
-    # across segment lengths and with n short of, at and past a segment
+    # f_n from the segmented kernel product and M_n from the folded F_j
+    # against the step-by-step recurrence, across segment lengths and with n
+    # short of, at and past a segment
     rng = np.random.default_rng(61)
     seen_signs = set()
     for seg in (1, 4, 5, 7, cocycle._SEGMENT):
@@ -492,7 +537,7 @@ def test_f_product_matches_recurrence_oracle(tame_model, theorem_model, monkeypa
                 for n in sorted({1, seg - 1, seg, seg + 1, 3 * seg + 5} - {0}):
                     a_vals, v_vals = orbit_values(m, p, n)
                     s, lg = _f_loop(a_vals, v_vals, m.lam, E, n)
-                    log_f, sign = f_determinant(m, p, E, n)
+                    log_f, sign = _f_at(m, p, E, n)
                     # f_n relative to the size of (f_n, f_{n-1})
                     top = max(lg[n], lg[n - 1])
                     want = s[n] * math.exp(lg[n] - top)
@@ -514,27 +559,43 @@ def test_f_matches_cofactor_oracle(tame_model):
     for p in random_points(rng, 8):
         E = float(rng.normal())
         for n in range(1, 9):
-            log_f, sign = f_determinant(tame_model, p, E, n)
+            log_f, sign = _f_at(tame_model, p, E, n)
             want = tridiag_det(tame_model, p, E, n)
             got = sign * math.exp(log_f)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_f_zero_order(tame_model):
-    log_f, sign = f_determinant(tame_model, TorusPoint(0.1, 0.2), 0.0, 0)
-    assert sign * math.exp(log_f) == 1.0
+    # products start at n = 1
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        f_determinants(tame_model, [0.1], [0.2], 0.0, 0)
 
 
 def test_via_f_matches_product(tame_model):
+    # n drawn below one kernel segment, then n across segment edges
     rng = np.random.default_rng(17)
-    for p in random_points(rng, 8):
-        E = float(rng.normal())
-        n = int(rng.integers(1, 120))
+    cases = [(p, float(rng.normal()), int(rng.integers(1, 120))) for p in random_points(rng, 8)]
+    cases += [(random_points(rng, 1)[0], float(rng.normal()), n)
+              for n in (127, 128, 129, 256, 257, 1000)]
+    for p, E, n in cases:
         cp = fundamental_matrix(tame_model, p, E, n)
         cf = fundamental_matrix_via_f(tame_model, p, E, n)
         assert cf.log_norm == pytest.approx(cp.log_norm, rel=1e-9, abs=1e-9)
         assert cf.log_det == pytest.approx(cp.log_det, rel=1e-9, abs=1e-9)
         assert np.allclose(cf.unit, cp.unit, atol=1e-8)
+
+
+def test_via_f_is_apart_from_the_kernel(tame_model, monkeypatch):
+    # the cross-check never runs the sweep kernel it checks
+    def refuse(*args, **kwargs):
+        raise AssertionError("fundamental_matrix_via_f called the kernel")
+    want = fundamental_matrix_via_f(tame_model, TorusPoint(0.3, 0.2), 0.1, 300)
+    monkeypatch.setattr(cocycle, "_sweep", refuse)
+    got = fundamental_matrix_via_f(tame_model, TorusPoint(0.3, 0.2), 0.1, 300)
+    assert got.unit.tobytes() == want.unit.tobytes()
+    assert (got.log_scale, got.log_det) == (want.log_scale, want.log_det)
+    with pytest.raises(AssertionError):
+        fundamental_matrix(tame_model, TorusPoint(0.3, 0.2), 0.1, 300)
 
 
 def test_via_f_n1(tame_model):
@@ -587,10 +648,15 @@ def test_batched_matches_scalar(tame_model):
 def test_batched_log_norms_is_the_product_view_at_every_n(tame_model):
     # one path on either side of _SEGMENT: each point's log-norm is bitwise
     # fundamental_matrix's, and the dip model is refused at n = 100 as at
-    # n = 129 (n = 100 returned 1292.997 on a kernel branch of its own)
+    # n = 129 (n = 100 returned 1292.997 on a kernel branch of its own);
+    # both refuse n = 0
     rng = np.random.default_rng(61)
     x, y = rng.random(4), rng.random(4)
-    for n in (0, 1, 20, 128, 129):
+    for f in (lambda n: batched_log_norms(tame_model, x, y, -0.4, n),
+              lambda n: fundamental_matrix(tame_model, TorusPoint(0.3, 0.2), -0.4, n)):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            f(0)
+    for n in (1, 20, 128, 129):
         out = batched_log_norms(tame_model, x, y, -0.4, n)
         for i in range(4):
             c = fundamental_matrix(tame_model, TorusPoint(float(x[i]), float(y[i])), -0.4, n)
@@ -605,19 +671,19 @@ def test_batched_log_norms_is_the_product_view_at_every_n(tame_model):
 
 
 def test_checkpoints_match_separate_sweeps(theorem_model, tame_model):
-    # checkpoint 0, a repeated checkpoint, and a read-out mid-sweep must be
-    # bitwise the values of a sweep that stops there
+    # a repeated checkpoint and a read-out mid-sweep must be bitwise the
+    # values of a sweep that stops there; checkpoint 0 is refused
     rng = np.random.default_rng(23)
     pts = rng.random((17, 2))
     for m in (tame_model, theorem_model):
-        out = batched_log_norm_checkpoints(m, pts[:, 0], pts[:, 1], 0.35,
-                                           [0, 1, 4, 4, 9])
-        assert sorted(out) == [0, 1, 4, 9]
+        with pytest.raises(ValueError, match="positive and ascending"):
+            batched_log_norm_checkpoints(m, pts[:, 0], pts[:, 1], 0.35, [0, 1])
+        out = batched_log_norm_checkpoints(m, pts[:, 0], pts[:, 1], 0.35, [1, 4, 4, 9])
+        assert sorted(out) == [1, 4, 9]
         for n, got in out.items():
             want = batched_log_norm_checkpoints(m, pts[:, 0], pts[:, 1], 0.35, [n])[n]
             for key in ("log_norm", "log_norm_u", "log_norm_a", "log_det"):
                 assert np.array_equal(got[key], want[key]), (n, key)
-    assert np.array_equal(out[0]["log_norm"], np.zeros(17))
 
 
 def _textbook_sweep(m, x, y, E, checkpoints):
@@ -690,16 +756,11 @@ def _textbook_sweep(m, x, y, E, checkpoints):
             product = product * np.abs(a_next)
             if j % cocycle._PRODUCT == 0:
                 sum_log_a_next, product = sum_log_a_next + np.log(product), np.ones(y.shape)
-        if n == 0:
-            z = np.zeros(math.prod(shape))
-            out[0] = {"log_norm": z, "log_norm_u": z, "log_norm_a": z, "log_det": z}
-            continue
         b0, b1 = a_next * s0, a_next * s1
         fro = np.sqrt(t0 * t0 + t1 * t1 + b0 * b0 + b1 * b1)
         inv = 1.0 / fro
         u00, u01, u10, u11 = t0 * inv, t1 * inv, b0 * inv, b1 * inv
-        det_u = u00 * u11 - u01 * u10
-        disc = np.maximum(1.0 - 4.0 * det_u * det_u, 0.0)
+        disc = ((u00 - u11) ** 2 + (u01 + u10) ** 2) * ((u00 + u11) ** 2 + (u01 - u10) ** 2)
         log_norm_a = (log_scale + np.log(fro)) + 0.5 * np.log(0.5 * (1.0 + np.sqrt(disc)))
         log_norm = log_norm_a - (sum_log_a_next + np.log(product))
         log_det = log_a_1 - np.log(np.abs(a_next))
@@ -761,7 +822,7 @@ def test_folded_row_stage_is_lam_v_minus_E(y_dependent, log_lam, e_frac, cuts, s
 
 
 def _block_checkpoints(width, y_width):
-    # read-outs at 0, 1, T, T + 1 and 3T - 1 cross block edges for every
+    # read-outs at 1, T, T + 1 and 3T - 1 cross block edges for every
     # block length T tried (T = 1 included), of the x-blocks (T = block //
     # samples) and of the y-blocks (T = block // y.size); those at the
     # anchor and product intervals and one step either side cross their edges
@@ -769,7 +830,7 @@ def _block_checkpoints(width, y_width):
     out = {}
     for block in (1, 2, 3, 7, cocycle._BLOCK):
         ts = {max(1, block // width), max(1, block // y_width)}
-        out[block] = sorted({0, 1} | edges | {n for t in ts for n in (t, t + 1, 3 * t - 1)})
+        out[block] = sorted({1} | edges | {n for t in ts for n in (t, t + 1, 3 * t - 1)})
     return out
 
 

@@ -137,7 +137,8 @@ def test_all_kinds_consistent(tame_model):
 def test_sweep_matches_separate_sweeps_across_chunks(tame_model, monkeypatch):
     # every scale and kind of one chunked, checkpointed pass equals an
     # unchunked sweep of the ravelled (and shifted) points that stops there
-    # at that scale, whether a grid goes to the kernel as axes or not
+    # at that scale, whether a grid goes to the kernel as axes or not;
+    # scale 0 is refused, as the kernel refuses it
     keys = {"plain": "log_norm", "unimodular": "log_norm_u",
             "a_normalized": "log_norm_a"}
     # a and v both depend on y; a zero frequency and a zero coefficient
@@ -156,15 +157,16 @@ def test_sweep_matches_separate_sweeps_across_chunks(tame_model, monkeypatch):
         monkeypatch.setattr(lyapunov, "_CHUNK", chunk)
         x, y = exact_orbit_phases(*s.points(), shift, m.omega)
         for threads in (1, 2):
-            out = log_norm_sweep(m, 0.2, [5, 0, 2, 5], s, KINDS, shift=shift,
+            with pytest.raises(ValueError, match="positive and ascending"):
+                log_norm_sweep(m, 0.2, [5, 0], s, KINDS, shift=shift, threads=threads)
+            out = log_norm_sweep(m, 0.2, [5, 1, 2, 5], s, KINDS, shift=shift,
                                  threads=threads)
-            assert sorted(out) == [0, 2, 5]
-            for n in (0, 2, 5):
+            assert sorted(out) == [1, 2, 5]
+            for n in (1, 2, 5):
                 sep = batched_log_norm_checkpoints(m, x, y, 0.2, [n])[n]
                 for kind in KINDS:
-                    want = sep[keys[kind]] / n if n else sep[keys[kind]]
+                    want = sep[keys[kind]] / n
                     assert np.array_equal(out[n][kind], want), (s, shift, n, kind)
-            assert np.array_equal(out[0]["plain"], np.zeros(s.total))
 
 
 def test_shifted_sweep_matches_fraction_oracle(theorem_model):
