@@ -34,6 +34,7 @@ from .multiscale import (
     RunStageError,
     continuity_probe,
     induction_step,
+    resolve_config,
     theorem_mode_run,
 )
 from .torus import Frequency, TorusPoint, diophantine_check
@@ -183,7 +184,7 @@ def cmd_initial_scale(args) -> int:
 
 def cmd_run(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        cfg = resolve_config(json.load(fh))
     model_path = cfg.get("model_path")
     if model_path:
         if not os.path.isabs(model_path):

@@ -73,60 +73,29 @@ def _products(prods, fx, fy):
 class TrigPoly1:
     """Finite Fourier series on T: sum_k c_k cos(2 pi k t) + s_k sin(2 pi k t).
 
-    Evaluation costs one trig call per live harmonic (see `_live`).
+    Evaluated as the `TrigPoly2` of the same series in the second variable.
     """
 
     terms: tuple[tuple[int, float, float], ...]
 
     @cached_property
-    def _live(self) -> tuple[tuple[float, float, float], ...]:
-        # (2 pi k, c, s) per term that can be nonzero.  For finite t,
-        # cos(0 t) = 1 and sin(0 t) = 0 exactly, so a k = 0 term is its c; a
-        # zero coefficient adds a signed zero to an accumulator that starts
-        # at +0.0, which leaves every bit unchanged.
-        live = []
-        for k, c, s in self.terms:
-            if k == 0:
-                s = 0.0
-            if c or s:
-                live.append((TWO_PI * k, c, s))
-        return tuple(live)
+    def _in_y(self) -> "TrigPoly2":
+        # a cos term and a sin term per harmonic, so c cos and s sin join the
+        # sum one after the other, bitwise the textbook sum
+        return TrigPoly2(tuple(term for k, c, s in self.terms
+                               for term in ((0, k, c, 0.0, 0.0, 0.0), (0, k, 0.0, s, 0.0, 0.0))))
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        for w, c, s in self._live:
-            if not w:
-                out += c
-                continue
-            ang = w * t
-            if c:
-                out += c * np.cos(ang)
-            if s:
-                out += s * np.sin(ang)
-        return out if out.ndim else float(out)
+        # _eval, not TrigPoly2.__call__: a tracer wrapping both classes'
+        # __call__ (perfbench/tracing.py) then counts each evaluation once
+        return self._in_y._eval(np, 0.0, t)
 
     def eval_scalar(self, t: float) -> float:
-        # hot path for the scalar cocycle loops; avoids ndarray overhead
-        acc = 0.0
-        for w, c, s in self._live:
-            if not w:
-                acc += c
-                continue
-            ang = w * t
-            if c:
-                acc += c * math.cos(ang)
-            if s:
-                acc += s * math.sin(ang)
-        return acc
+        return self._in_y._eval(math, 0.0, t)
 
     def along(self, t):
-        """The evaluator s -> self(t + s), by angle addition: cos and sin of
-        2 pi k t are tabulated once at t's shape, and a call takes trig only
-        at s's shape (per step, for a column of step offsets).  Agrees with
-        `__call__` at t + s to a few ulp of sum |coef|.  It is
-        `TrigPoly2.along` of the same series in the second variable."""
-        at = TrigPoly2(tuple((0, k, c, s, 0.0, 0.0) for k, c, s in self.terms)).along(0.0, t)
+        """The evaluator s -> self(t + s): `TrigPoly2.along` in y."""
+        at = self._in_y.along(0.0, t)
         return lambda s: at(0.0, s)
 
     def deriv_bound(self) -> float:
@@ -150,9 +119,11 @@ class TrigPoly2:
     def _live(self):
         # Per term that can be nonzero: (2 pi k1, cos x used, sin x used,
         # 2 pi k2, cos y used, sin y used, products).  A product is
-        # (coefficient, x factor, y factor) in cc, cs, sc, ss order.  A k = 0
-        # axis has the factor 1 (no multiply) and no sin products; zero
-        # coefficients drop too, bitwise safely as in TrigPoly1._live.
+        # (coefficient, x factor, y factor) in cc, cs, sc, ss order.  For a
+        # finite phase, cos(0 t) = 1 and sin(0 t) = 0 exactly, so a k = 0 axis
+        # has the factor 1 (no multiply) and no sin products; a zero
+        # coefficient adds a signed zero to a sum that starts at +0.0, which
+        # leaves every bit unchanged, so it drops too.
         live = []
         for k1, k2, cc, cs, sc, ss in self.terms:
             fx = (_COS, _SIN) if k1 else (_ONE, None)
@@ -170,26 +141,23 @@ class TrigPoly2:
         return tuple(live)
 
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.float64)
-        for w1, cos1, sin1, w2, cos2, sin2, prods in self._live:
-            fx = (1.0, np.cos(w1 * x) if cos1 else None,
-                  np.sin(w1 * x) if sin1 else None)
-            fy = (1.0, np.cos(w2 * y) if cos2 else None,
-                  np.sin(w2 * y) if sin2 else None)
-            out += _products(prods, fx, fy)
-        return out if out.ndim else float(out)
+        return self._eval(np, x, y)
 
     def eval_scalar(self, x: float, y: float) -> float:
+        return self._eval(math, x, y)
+
+    def _eval(self, lib, x, y):
+        # the one evaluation loop, with cos and sin from lib: numpy for
+        # arrays (a float at 0-d), or math for floats
         acc = 0.0
+        if lib is np:
+            x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+            acc = np.zeros(np.broadcast(x, y).shape)
         for w1, cos1, sin1, w2, cos2, sin2, prods in self._live:
-            fx = (1.0, math.cos(w1 * x) if cos1 else None,
-                  math.sin(w1 * x) if sin1 else None)
-            fy = (1.0, math.cos(w2 * y) if cos2 else None,
-                  math.sin(w2 * y) if sin2 else None)
+            fx = (1.0, lib.cos(w1 * x) if cos1 else None, lib.sin(w1 * x) if sin1 else None)
+            fy = (1.0, lib.cos(w2 * y) if cos2 else None, lib.sin(w2 * y) if sin2 else None)
             acc += _products(prods, fx, fy)
-        return acc
+        return acc if np.ndim(acc) else float(acc)
 
     @cached_property
     def x_frequencies(self) -> tuple[int, ...]:
@@ -199,15 +167,17 @@ class TrigPoly2:
 
     def along(self, x, y, scale=1.0, shift=0.0):
         """The evaluator at(sx, sy) = scale * self(x + sx, y + sy) + shift by
-        angle addition from cos/sin tables of x and y (see `TrigPoly1.along`),
-        in two stages: `at.offsets(sx, sy)` takes trig at the offsets' shapes,
-        completing the y factors, and returns `rows(sl, out)`, which sums the
-        rows `sl` of the offsets' leading (step) axis into `out`, bitwise the
-        one-shot call.  `at.offsets(None, sy, x_turns)` takes the x offsets'
-        trig from x_turns instead, a map from each of `x_frequencies` k1 to
-        (cos 2 pi k1 sx, sin 2 pi k1 sx).  The map costs no pass of its own:
-        scale sits in the x tables (in the coefficients of a term constant in
-        x) and the sum starts at shift; at (1, 0) it changes no bit."""
+        angle addition: cos and sin of x and y are tabulated once, and a call
+        takes trig only at the offsets' shapes (per step, for a column of step
+        offsets), within a few ulp of sum |coef| of the direct call.  In two
+        stages: `at.offsets(sx, sy)` takes that trig, completing the y
+        factors, and returns `rows(sl, out)`, which sums the rows `sl` of the
+        offsets' leading (step) axis into `out`, bitwise the one-shot call.
+        `at.offsets(None, sy, x_turns)` takes the x offsets' trig from x_turns
+        instead, a map from each of `x_frequencies` k1 to (cos 2 pi k1 sx,
+        sin 2 pi k1 sx).  The map costs no pass of its own: scale sits in the
+        x tables (in the coefficients of a term constant in x) and the sum
+        starts at shift; at (1, 0) it changes no bit."""
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         terms = [(prods if cos1 or sin1 else tuple((scale * c, i, j) for c, i, j in prods),
                   (scale * np.cos(w1 * x), scale * np.sin(w1 * x)) if cos1 or sin1 else None,
@@ -325,9 +295,11 @@ def derive_constants(
     Sup/inf norms come from dense grids (2^14 points in 1-D, 1024^2 in 2-D)
     padded by grid-spacing times a derivative bound; the mean of log|a| uses
     the same 1-D grid (trapezoid = plain mean for periodic integrands).
-    Rejects a violating 1 <= |a| <= 2 on the grid, and constant v in
-    theorem mode.
+    Rejects a non-finite lambda or coefficient, a violating 1 <= |a| <= 2 on
+    the grid, and constant v in theorem mode.
     """
+    if not all(map(math.isfinite, (lam, *(c for t in a.terms + v.terms for c in t)))):
+        raise ModelAdmissionError("lambda and the coefficients of a and v must be finite")
     if lam < 0:
         raise ModelAdmissionError("lambda must be nonnegative")
     ys = np.arange(GRID_1D) / GRID_1D

@@ -304,8 +304,20 @@ def continuity_probe(
 # theorem-mode pipeline
 
 
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def resolve_config(config: dict) -> dict:
-    """Fill in pipeline defaults; the resolved config is archived verbatim."""
+    """Fill in pipeline defaults; the resolved config is archived verbatim.
+
+    A known key whose value is not of its default's JSON type raises
+    ValueError naming it: finite numbers (not bools) or lists of them,
+    `induction_pairs` null or [n, N] pairs, `model_path` and `output_dir`
+    strings.  Nothing is coerced.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"the run config must be a JSON object, got {type(config).__name__}")
     cfg = {
         "n0": 16,
         "sigma": 1.0 / 25.0,
@@ -323,7 +335,20 @@ def resolve_config(config: dict) -> dict:
         "diophantine_nmax": 10_000,
         "work_budget": DEFAULT_WORK_BUDGET,
     }
-    cfg.update(config or {})
+
+    def numbers(v, size=None):
+        return isinstance(v, list) and all(map(_finite, v)) and size in (None, len(v))
+
+    for key, value in config.items():
+        if key in ("model_path", "output_dir"):
+            ok = isinstance(value, str)
+        elif key == "induction_pairs":
+            ok = value is None or isinstance(value, list) and all(numbers(p, 2) for p in value)
+        else:
+            ok = key not in cfg or (numbers if isinstance(cfg[key], list) else _finite)(value)
+        if not ok:
+            raise ValueError(f"config key {key!r} has the wrong JSON type: {value!r}")
+    cfg.update(config)
     if cfg["induction_pairs"] is None:
         n0 = cfg["n0"]
         cfg["induction_pairs"] = [[n0, n0 * n0], [n0, 2 * n0 * n0]]

@@ -128,8 +128,8 @@ class Frequency:
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
             raise ValueError("omega must be in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
 
 
 def diophantine_check(f: Frequency, n_max: int) -> tuple[bool, int, float]:

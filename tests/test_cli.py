@@ -344,3 +344,38 @@ def test_run_empty_energy_grid_exit_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["stage"] == "admission"
     assert not out.exists()
+
+
+def test_non_finite_model_and_epsilon_exit_2(tmp_path, model_path, capsys):
+    # a NaN in the model file or on the command line is a validation error
+    d = json.loads(Path(model_path).read_text())
+    for key, value in (("a_coeffs", [[0, 1.5, 0.0], [1, math.nan, 0.0]]),
+                       ("lambda", math.nan)):
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps(dict(d, **{key: value})))
+        code = run_cli("lyapunov", "--model", str(bad), "--E", "0",
+                       "--scales", "8", "--grid", "4")
+        assert code == 2, key
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ModelAdmissionError" and "finite" in err["message"]
+    assert run_cli("diophantine", "--omega", "0.618", "--epsilon", "nan") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "epsilon" in err["message"]
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[1, 2]", "object"), ('"x"', "object"),
+    ('{"E_grid": 5}', "E_grid"), ('{"mc_samples": "10"}', "mc_samples"),
+    ('{"n0": true}', "n0"), ('{"sigma": NaN}', "sigma"),
+    ('{"scales": [8, "16"]}', "scales"), ('{"induction_pairs": [[4]]}', "induction_pairs"),
+    ('{"model_path": 5}', "model_path"), ('{"output_dir": ["a"]}', "output_dir"),
+])
+def test_run_config_types_exit_2(tmp_path, capsys, text, named):
+    # checked before the model is read or any stage runs; nothing is coerced
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "archive"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and named in err["message"]
+    assert not out.exists()

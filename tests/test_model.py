@@ -182,6 +182,22 @@ def test_admission_rejects_negative_lambda():
         make_model(lam=-1.0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lambda", math.nan), ("lambda", math.inf),
+    ("a_coeffs", [[0, 1.5, 0.0], [1, math.nan, 0.0]]),
+    ("a_coeffs", [[0, 1.5, 0.0], [1, 0.0, -math.inf]]),
+    ("v_coeffs", [[1, 0, math.nan, 0.0, 0.0, 0.0]]),
+    ("v_coeffs", [[1, 0, 1.0, 0.0, 0.0, math.inf]]),
+    ("epsilon", math.nan), ("epsilon", math.inf), ("omega", math.nan),
+])
+def test_admission_rejects_non_finite(key, value):
+    # JSON reads NaN and Infinity; admission refuses them before any grid
+    d = model_to_dict(default_theorem_model())
+    d[key] = value
+    with pytest.raises(ModelAdmissionError):
+        model_from_dict(d)
+
+
 def test_theorem_mode_rejects_constant_v():
     with pytest.raises(ModelAdmissionError):
         make_model(v=TrigPoly2.constant(1.0), theorem_mode=True)

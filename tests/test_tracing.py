@@ -11,6 +11,8 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 MODULES = ("torus", "model", "cocycle", "lyapunov", "deviation", "avalanche",
@@ -43,6 +45,26 @@ def test_tracing_install_finds_names_and_uninstall_restores(monkeypatch):
         tracer.uninstall()
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
+
+
+def test_trig_counter_counts_each_array_evaluation_once(monkeypatch):
+    # TrigPoly1 evaluates through TrigPoly2's loop; with both classes'
+    # __call__ wrapped, 10 points of a and 10 of v must read 20, not 30
+    tracing = load_tracing(monkeypatch)
+    ss = types.SimpleNamespace(**{
+        name: importlib.import_module(f"skewshift.{name}") for name in MODULES})
+    m = ss.model.default_theorem_model()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, ss)
+        tracer.phase = "pass"
+        t = np.linspace(0.0, 1.0, 10)
+        m.a(t)
+        m.v(t, t)
+    finally:
+        tracer.uninstall()
+    assert tracer.trig["calls"] == 2
+    assert tracer.trig["points"] == 20
 
 
 def _package_reads(path):
