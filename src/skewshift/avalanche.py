@@ -83,7 +83,7 @@ def avalanche_check(matrices, mu: float | None = None, C: float = DEFAULT_C,
     log_norms = c.log_norm
     pair_log_norms = CocycleProduct.from_matrices(
         c.unit[1:] @ c.unit[:-1], c.log_scale[1:] + c.log_scale[:-1]).log_norm
-    unit, log_scale = _tree_fold(c.unit.reshape(n, 4, 1), c.log_scale.reshape(n, 1))
+    unit, log_scale = _tree_fold(c.unit.reshape(n, 4).T[:, :, None], c.log_scale.reshape(n, 1))
     log_norm_product = float(log_scale[0] + _log_unit_norm(*unit[:, 0]))
 
     defects = log_norms[1:] + log_norms[:-1] - pair_log_norms

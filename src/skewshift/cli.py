@@ -24,6 +24,7 @@ from .lyapunov import (
     KINDS,
     BudgetError,
     Sampler,
+    charge,
     counter_uniform,
     env_threads,
     lyapunov_profile,
@@ -51,7 +52,10 @@ def _threads(args) -> int | None:
 
 def _sampler(args) -> Sampler:
     if args.mc:
-        return Sampler.monte_carlo(int(float(args.mc)), args.seed)
+        count = float(args.mc)  # 1e3 is a count too
+        if not count.is_integer():
+            raise ValueError(f"--mc must be a whole number of samples, got {args.mc!r}")
+        return Sampler.monte_carlo(int(count), args.seed)
     return Sampler.grid(args.grid)
 
 
@@ -70,11 +74,18 @@ def _emit(obj, out_path: str | None):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s]
+    return [int(s) for s in _items(text)]
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s]
+    return [float(s) for s in _items(text)]
+
+
+def _items(text: str) -> list[str]:
+    items = [s for s in text.split(",") if s]
+    if not items:
+        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
+    return items
 
 
 def cmd_diophantine(args) -> int:
@@ -116,6 +127,8 @@ def cmd_deviation(args) -> int:
 
 
 def _demo_matrices(kind: str, mu: float, n: int, seed: int):
+    if not 0 < mu < math.inf:
+        raise ValueError(f"--mu must be finite and positive, got {mu!r}")
     if kind == "diag":
         return [np.diag([mu, 1.0 / mu]) for _ in range(n)]
     if kind == "hyperbolic":
@@ -147,9 +160,7 @@ def cmd_avalanche(args) -> int:
         except ValueError:
             raise ValueError(f"--base must be two numbers x,y, got {args.base!r}") from None
         m = load_model(args.model)
-        steps = float(args.n) * args.blocks
-        if steps > args.budget:
-            raise BudgetError(steps, args.budget)
+        charge(float(args.n) * args.blocks, Sampler.monte_carlo(1, 0), args.budget)  # one base point
         rep = avalanche_on_cocycle(m, TorusPoint(bx, by), args.E, args.n,
                                    args.blocks, gamma=args.gamma, C=args.C)
     _emit(rep.to_json(), args.out)

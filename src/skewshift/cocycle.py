@@ -174,13 +174,13 @@ def orbit_product(m: JacobiModel, x, y, E: float,
     for c0 in range(0, w, chunk):
         c = min(chunk, w - c0)
         xs, ys = exact_orbit_phases(x[c0:c0 + c, None], y[c0:c0 + c, None], starts, m.omega)
-        # the state of every segment, as (segments, rows, points)
-        U = np.empty((K, 4, c))
+        # the state of every segment, as (rows, segments, points)
+        U = np.empty((4, K, c))
         S, A, B = (np.empty((K, c)) for _ in range(3))
         with np.errstate(divide="ignore", invalid="ignore"):  # |a| = 0, refused below
             for cp, u, scale, a_sum, _, small in _sweep(m, xs.ravel(), ys.ravel(), E, cps):
                 ends = lengths == cp
-                U[ends] = u.reshape(4, c, K)[:, :, ends].transpose(2, 0, 1)
+                U[:, ends] = u.reshape(4, c, K)[:, :, ends].transpose(0, 2, 1)
                 for dst, src in zip((S, A, B), (scale, a_sum, small)):
                     dst[ends] = src.reshape(c, K)[:, ends].T
         # a_i of segment k is a_{k seg + i} of the orbit
@@ -252,14 +252,14 @@ def fundamental_matrix_via_f(m: JacobiModel, base: TorusPoint, E: float, n: int)
     a_vals, v_vals = orbit_values(m, base, n)
     a_1, a_n1, rest = a_vals[1], a_vals[n + 1], a_vals[2:]
     sign, sum_log_a = np.prod(np.sign(rest)), float(np.sum(np.log(np.abs(rest))))
-    F = np.zeros((n, 4))  # m00, m01, m10, m11 of F_1 .. F_n
-    F[:, 0] = m.lam * v_vals[1:] - E
-    F[:, 1] = -(a_vals[1:n + 1] * a_vals[1:n + 1])
-    F[:, 2] = 1.0
+    F = np.empty((4, n, 1))  # the rows m00, m01, m10, m11 of F_1 .. F_n
+    F[0, :, 0] = m.lam * v_vals[1:] - E
+    F[1, :, 0] = -(a_vals[1:n + 1] * a_vals[1:n + 1])
+    F[2], F[3] = 1.0, 0.0
     del a_vals, v_vals, rest  # freed before the fold's transients
-    fro = np.sqrt(np.einsum("ij,ij->i", F, F))
-    F /= fro[:, None]
-    unit, log_scale = _tree_fold(F, np.log(fro, out=fro)[:, None])
+    fro = np.sqrt((F[0] * F[0] + 1.0) + F[1] * F[1])
+    F /= fro
+    unit, log_scale = _tree_fold(F, np.log(fro, out=fro))
     scaled = unit.reshape(2, 2) * np.array([[1.0, 1.0 / a_1], [a_n1, a_n1 / a_1]])
     c = CocycleProduct.from_matrices(scaled * sign, float(log_scale[0]) - sum_log_a)
     return CocycleProduct(c.unit, c.log_scale, math.log(abs(a_1)) - math.log(abs(a_n1)), n)
@@ -275,34 +275,51 @@ def _running_product(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _tree_fold(U: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U_{K-1} ... U_1 U_0 of a (K, 4, c) stack of unit matrices (rows m00,
-    m01, m10, m11) with (K, c) log scales, as ((4, c) unit, (c,) log scale).
+    """U_{K-1} ... U_1 U_0 of a (4, K, c) stack of unit matrices, its rows
+    the entries m00, m01, m10, m11, with (K, c) log scales, as ((4, c) unit,
+    (c,) log scale).
 
     Each level multiplies the pairs U_{2i+1} U_{2i} side by side, divides
     each product by its Frobenius norm and adds the log of that norm to the
     pair's log scales; an odd last matrix carries to the next level.  So
     ceil(log2 K) levels replace K - 1 steps, and every value is a function
-    of its column of U and S alone.
+    of its column of U and S alone.  Each entry is formed as one (K/2, c)
+    row, so a one-column stack runs numpy loops over its pairs.
     """
-    U = U.reshape(len(U), 2, 2, -1)
-    while len(U) > 1:
-        h = len(U) // 2
-        left, right = U[1:2 * h:2], U[0:2 * h:2]
-        p = left[:, :, :1] * right[:, :1] + left[:, :, 1:] * right[:, 1:]
-        sq = p * p
-        fro = np.sqrt(sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1])
-        p /= fro[:, None, None]
-        s = S[0:2 * h:2] + S[1:2 * h:2] + np.log(fro)
-        U, S = np.concatenate((p, U[2 * h:])), np.concatenate((s, S[2 * h:]))
-    return U[0].reshape(4, -1), S[0]
+    while U.shape[1] > 1:
+        K, c = U.shape[1:]
+        h = K // 2
+        (l00, l01, l10, l11), (r00, r01, r10, r11) = U[:, 1:2 * h:2], U[:, 0:2 * h:2]
+        p, s = np.empty((4, K - h, c)), np.empty((K - h, c))
+        tmp = np.empty((h, c))
+        for row, a, b, e, f in ((0, l00, r00, l01, r10), (1, l00, r01, l01, r11),
+                                (2, l10, r00, l11, r10), (3, l10, r01, l11, r11)):
+            np.multiply(a, b, out=p[row, :h])
+            p[row, :h] += np.multiply(e, f, out=tmp)
+        fro = np.multiply(p[0, :h], p[0, :h])
+        for row in p[1:, :h]:
+            fro += np.multiply(row, row, out=tmp)
+        np.sqrt(fro, out=fro)
+        p[:, :h] /= fro
+        np.add(S[0:2 * h:2], S[1:2 * h:2], out=s[:h])
+        s[:h] += np.log(fro, out=fro)
+        p[:, h:], s[h:] = U[:, 2 * h:], S[2 * h:]
+        U, S = p, s
+    return U[:, 0], S[0]
 
 
 def _renorm_every(m: JacobiModel, E: float) -> int:
     """Steps r between renormalizations of the sweep state: ||A'_j||_2 <=
     G = sqrt((lam sup|v| + |E|)^2 + 2 sup|a|^2) and |det A'_j| >= inf|a|^2,
     so r steps scale a unit state's norm by e^{+-300} at most, and the
-    squares the Frobenius norm sums stay normal floats."""
+    squares the Frobenius norm sums stay normal floats.  A non-finite E, or
+    a G whose square overflows a double, raises ValueError: the sweep could
+    only return NaN there."""
+    if not math.isfinite(E):
+        raise ValueError(f"energy E must be finite, got {E!r}")
     g = math.hypot(m.lam * m.sup_norm_v + abs(E), math.sqrt(2.0) * m.sup_abs_a)
+    if math.isinf(g * g):
+        raise ValueError(f"one step's growth bound {g:.3g} at E = {E:.3g} overflows when squared")
     return max(1, int(300.0 / math.log(max(g, g / m.inf_abs_a ** 2))))
 
 
@@ -523,6 +540,14 @@ def batched_log_norm_checkpoints(
     those of the ravelled points.  Maps each checkpoint n to arrays
     log_norm, log_norm_u, log_norm_a, log_det, ravelled in C (x-major) order.
     """
+    return _checkpoint_log_norms(m, x, y, E, checkpoints,
+                                 ("log_norm", "log_norm_u", "log_norm_a", "log_det"))
+
+
+def _checkpoint_log_norms(m: JacobiModel, x, y, E: float, checkpoints: list[int],
+                          keys: tuple[str, ...]) -> dict[int, dict[str, np.ndarray]]:
+    """`batched_log_norm_checkpoints` with only the arrays named in `keys`
+    formed at each checkpoint, bitwise as there."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     shape = np.broadcast_shapes(x.shape, y.shape)
@@ -535,14 +560,14 @@ def batched_log_norm_checkpoints(
     out, small_a = {}, 0
     with np.errstate(divide="ignore", invalid="ignore"):  # |a| = 0, refused below
         for n, u, log_scale, sum_log_a_next, log_det, small_a in _sweep(m, x, y, E, checkpoints):
-            log_norm_a = log_scale + _log_unit_norm(*u)
-            log_norm = log_norm_a - sum_log_a_next
-            out[n] = {
-                "log_norm": log_norm.ravel(),
-                "log_norm_u": (log_norm - 0.5 * log_det).ravel(),
-                "log_norm_a": log_norm_a.ravel(),
-                "log_det": np.broadcast_to(log_det, shape).flatten(),
-            }
+            got = {"log_norm_a": log_scale + _log_unit_norm(*u)}
+            if "log_norm" in keys or "log_norm_u" in keys:
+                got["log_norm"] = got["log_norm_a"] - sum_log_a_next
+            if "log_norm_u" in keys:
+                got["log_norm_u"] = got["log_norm"] - 0.5 * log_det
+            if "log_det" in keys:
+                got["log_det"] = np.broadcast_to(log_det, shape).flatten()
+            out[n] = {key: got[key].ravel() for key in keys}
     _refuse_small_a(np.broadcast_to(small_a, shape))
     return out
 

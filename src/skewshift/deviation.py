@@ -93,8 +93,10 @@ def deviation_measure(
     the call refuses with the sample count that would be needed.  Both the
     reference and the sample are charged against `budget`.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN included
         raise ValueError("threshold must be positive")
+    if threshold == math.inf:
+        raise ValueError("threshold must be finite")
     if reference is None:
         reference = lyapunov_finite(m, E, n, REFERENCE_GRID, kind, budget=budget,
                                     threads=threads)

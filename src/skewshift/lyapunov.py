@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 # batched_log_norms is re-exported: callers import and patch it from here
-from .cocycle import batched_log_norm_checkpoints, batched_log_norms  # noqa: F401
+from .cocycle import _checkpoint_log_norms, batched_log_norms  # noqa: F401
 from .model import JacobiModel
 from .torus import exact_orbit_phases
 
@@ -43,7 +43,10 @@ class BudgetError(RuntimeError):
 
 def charge(steps: float, sampler: Sampler, budget: float) -> None:
     """Refuse, before any point is generated, a job of `steps` matrix steps
-    at each of the sampler's points that exceeds `budget`."""
+    at each of the sampler's points that exceeds `budget` (a NaN budget,
+    which no cost exceeds, raises ValueError)."""
+    if math.isnan(budget):
+        raise ValueError("budget must be a number, got nan")
     cost = float(steps) * sampler.total
     if cost > budget:
         raise BudgetError(cost, budget)
@@ -184,12 +187,13 @@ def log_norm_sweep(
         step = _CHUNK
     x, y = exact_orbit_phases(x, y, shift, m.omega) if shift else (x, y)
     chunks = [(i, min(i + step, len(x))) for i in range(0, len(x), step)]
+    keys = tuple(_KIND_KEY[kind] for kind in kinds)  # only these are formed
 
     def run(span):
         lo, hi = span
         # a grid's y is one (1, gy) row that every chunk of x rows shares
-        res = batched_log_norm_checkpoints(m, x[lo:hi], y if y.ndim > 1 else y[lo:hi],
-                                           E, scales)
+        res = _checkpoint_log_norms(m, x[lo:hi], y if y.ndim > 1 else y[lo:hi],
+                                    E, scales, keys)
         return {(n, kind): res[n][_KIND_KEY[kind]] for n in scales for kind in kinds}
 
     if nthreads > 1 and len(chunks) > 1:

@@ -22,6 +22,11 @@ TWO_PI = 2.0 * math.pi
 
 GRID_1D = 1 << 14
 GRID_2D = 1024
+# rows of the 2-D grid per block of admission's sup|v| (2 MiB at 1024
+# columns).  Not smaller: freeing a 2 MiB block raises glibc's dynamic mmap
+# and trim thresholds for the rest of the process, and without that the
+# later narrow sweeps page-fault on their scratch arrays
+_ROWS = GRID_2D // 4
 
 
 _ONE, _COS, _SIN = 0, 1, 2  # factors of a TrigPoly2 product: 1, cos, sin
@@ -117,8 +122,8 @@ class TrigPoly2:
 
     @cached_property
     def _live(self):
-        # Per term that can be nonzero: (2 pi k1, cos x used, sin x used,
-        # 2 pi k2, cos y used, sin y used, products).  A product is
+        # Per term that can be nonzero: (k1, cos x used, sin x used, k2, cos y
+        # used, sin y used, products).  A product is
         # (coefficient, x factor, y factor) in cc, cs, sc, ss order.  For a
         # finite phase, cos(0 t) = 1 and sin(0 t) = 0 exactly, so a k = 0 axis
         # has the factor 1 (no multiply) and no sin products; a zero
@@ -136,8 +141,7 @@ class TrigPoly2:
             if prods:
                 xf = {i for _, i, _ in prods}
                 yf = {j for _, _, j in prods}
-                live.append((TWO_PI * k1, _COS in xf, _SIN in xf,
-                             TWO_PI * k2, _COS in yf, _SIN in yf, prods))
+                live.append((k1, _COS in xf, _SIN in xf, k2, _COS in yf, _SIN in yf, prods))
         return tuple(live)
 
     def __call__(self, x, y):
@@ -153,7 +157,8 @@ class TrigPoly2:
         if lib is np:
             x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
             acc = np.zeros(np.broadcast(x, y).shape)
-        for w1, cos1, sin1, w2, cos2, sin2, prods in self._live:
+        for k1, cos1, sin1, k2, cos2, sin2, prods in self._live:
+            w1, w2 = TWO_PI * k1, TWO_PI * k2
             fx = (1.0, lib.cos(w1 * x) if cos1 else None, lib.sin(w1 * x) if sin1 else None)
             fy = (1.0, lib.cos(w2 * y) if cos2 else None, lib.sin(w2 * y) if sin2 else None)
             acc += _products(prods, fx, fy)
@@ -162,8 +167,7 @@ class TrigPoly2:
     @cached_property
     def x_frequencies(self) -> tuple[int, ...]:
         """The distinct frequencies k1 of the live terms that have an x factor."""
-        return tuple(sorted({round(w1 / TWO_PI) for w1, cos1, sin1, *_ in self._live
-                             if cos1 or sin1}))
+        return tuple(sorted({k1 for k1, cos1, sin1, *_ in self._live if cos1 or sin1}))
 
     def along(self, x, y, scale=1.0, shift=0.0):
         """The evaluator at(sx, sy) = scale * self(x + sx, y + sy) + shift by
@@ -180,16 +184,16 @@ class TrigPoly2:
         starts at shift; at (1, 0) it changes no bit."""
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         terms = [(prods if cos1 or sin1 else tuple((scale * c, i, j) for c, i, j in prods),
-                  (scale * np.cos(w1 * x), scale * np.sin(w1 * x)) if cos1 or sin1 else None,
-                  (np.cos(w2 * y), np.sin(w2 * y)) if cos2 or sin2 else None)
-                 for w1, cos1, sin1, w2, cos2, sin2, prods in self._live]
+                  (scale * np.cos(TWO_PI * k1 * x), scale * np.sin(TWO_PI * k1 * x))
+                  if cos1 or sin1 else None,
+                  (np.cos(TWO_PI * k2 * y), np.sin(TWO_PI * k2 * y)) if cos2 or sin2 else None)
+                 for k1, cos1, sin1, k2, cos2, sin2, prods in self._live]
 
         def offsets(sx, sy, x_turns=None):
             staged = [(prods, tx, cos1, sin1,
-                       tx and (_quarter(w1, sx) if x_turns is None
-                               else x_turns[round(w1 / TWO_PI)]),
-                       _turn(ty, ty and _quarter(w2, sy), cos2, sin2))
-                      for (w1, cos1, sin1, w2, cos2, sin2, _), (prods, tx, ty)
+                       tx and (_quarter(TWO_PI * k1, sx) if x_turns is None else x_turns[k1]),
+                       _turn(ty, ty and _quarter(TWO_PI * k2, sy), cos2, sin2))
+                      for (k1, cos1, sin1, k2, cos2, sin2, _), (prods, tx, ty)
                       in zip(self._live, terms)]
 
             def rows(sl, out):
@@ -209,18 +213,13 @@ class TrigPoly2:
         return at
 
     def grad_bound(self) -> float:
-        # bound on |grad v| from the coefficients, used for sup-norm padding
-        total = 0.0
-        for k1, k2, cc, cs, sc, ss in self.terms:
-            amp = abs(cc) + abs(cs) + abs(sc) + abs(ss)
-            total += TWO_PI * (abs(k1) + abs(k2)) * amp
-        return total
+        # bound on |grad v| from the live coefficients, for sup-norm padding
+        return sum(TWO_PI * (abs(k1) + abs(k2)) * sum(abs(c) for c, _, _ in prods)
+                   for k1, _, _, k2, _, _, prods in self._live)
 
     def is_constant(self) -> bool:
-        return all(
-            (k1 == 0 and k2 == 0) or (abs(cc) + abs(cs) + abs(sc) + abs(ss) == 0.0)
-            for k1, k2, cc, cs, sc, ss in self.terms
-        )
+        # a coefficient on sin(0 t) is dead, however large
+        return not any(k1 or k2 for k1, _, _, k2, *_ in self._live)
 
     @classmethod
     def constant(cls, value: float) -> "TrigPoly2":
@@ -315,8 +314,11 @@ def derive_constants(
         raise ModelAdmissionError("theorem mode requires a nonconstant potential")
 
     xs = np.arange(GRID_2D) / GRID_2D
-    vals = v(xs[:, None], xs[None, :])  # broadcast axes, no 1024^2 meshgrid
-    sup_v = float(np.abs(vals).max()) + 0.5 * v.grad_bound() / GRID_2D
+    sup_v = 0.0
+    for i in range(0, GRID_2D, _ROWS):  # broadcast axes, no 1024^2 meshgrid
+        block = v(xs[i:i + _ROWS, None], xs[None, :])
+        sup_v = max(sup_v, float(np.abs(block, out=block).max()))
+    sup_v += 0.5 * v.grad_bound() / GRID_2D
 
     log_avg = float(np.mean(np.log(abs_a)))
     sup_a_pad = min(2.0, sup_a + pad_a)

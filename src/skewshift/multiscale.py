@@ -146,6 +146,8 @@ def induction_steps(
     upper bound against LDT_PROXY_BOUND instead, and both numbers are
     recorded.
     """
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and positive")
     pairs = [(int(n), int(N)) for n, N in pairs]
     for n, N in pairs:
         if n < 2:
@@ -255,8 +257,8 @@ def continuity_probe(
     against the running-infimum proxy of L over the scales N/4, N/2 and N
     and reported, not asserted.  Each energy takes one sweep covering them.
     """
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise ValueError("deltas must be finite and positive")
     if sorted(deltas, reverse=True) != list(deltas):
         raise ValueError("deltas must be descending")
     scales = sorted({max(2, N // 4), max(3, N // 2), N})

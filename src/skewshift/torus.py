@@ -87,6 +87,8 @@ class TorusPoint:
     y: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"torus coordinates must be finite, got ({self.x!r}, {self.y!r})")
         object.__setattr__(self, "x", mod1(self.x))
         object.__setattr__(self, "y", mod1(self.y))
 

@@ -45,6 +45,15 @@ def make_model(lam=2.0, a=None, v=None, omega=GOLDEN_MEAN, epsilon=0.05,
                             theorem_mode=theorem_mode)
 
 
+def y_dependent_model():
+    # a and v depend on y, with zero-frequency and zero-coefficient terms
+    a = TrigPoly1(((0, 1.5, 0.0), (1, 0.3, 0.1), (2, 0.0, 0.05), (3, 0.0, 0.0)))
+    v = TrigPoly2(((1, 0, 1.0, 0.0, 0.0, 0.0), (1, 1, 0.3, 0.2, 0.0, 0.1),
+                   (0, 2, 0.0, 0.4, 0.0, 0.0), (0, 0, 0.25, 0.0, 0.0, 0.0),
+                   (2, 1, 0.0, 0.0, 0.0, 0.0)))
+    return make_model(lam=3.0, a=a, v=v)
+
+
 def constant_model(a0=1.0, v0=0.0, lam=0.0, omega=GOLDEN_MEAN):
     return derive_constants(TrigPoly1.constant(a0), TrigPoly2.constant(v0),
                             lam, Frequency(omega, 0.05))

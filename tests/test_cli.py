@@ -146,6 +146,45 @@ def test_deviation_zero_threshold_exit_2(model_path, capsys):
     assert err["message"] == "threshold must be positive"
 
 
+@pytest.mark.parametrize("argv, named", [
+    ("lyapunov --E inf --scales 8", "E must be finite"),
+    ("lyapunov --E nan --scales 8", "E must be finite"),
+    ("lyapunov --E 1e200 --scales 8", "overflows"),
+    ("lyapunov --E 0 --scales 8 --budget nan", "budget"),
+    ("lyapunov --E 0 --scales 8 --mc inf", "--mc"),
+    ("lyapunov --E 0 --scales 8 --mc 2.7", "--mc"),
+    ("lyapunov --E 0 --scales ,", "list"),
+    ("deviation --E 0 --scales 8 --threshold nan", "threshold"),
+    ("deviation --E 0 --scales 8 --threshold inf", "threshold"),
+    ("continuity --E 0 --deltas nan", "deltas"),
+    ("continuity --E 0 --deltas inf,1e-2", "deltas"),
+    ("continuity --E 0 --deltas ,", "list"),
+    ("induction --E 0 --n 4 --N 16 --gamma -1", "gamma"),
+    ("induction --E 0 --n 4 --N 16 --gamma nan", "gamma"),
+    ("avalanche --base 0.3,inf", "finite"),
+    ("avalanche --budget nan", "budget"),
+    ("avalanche --demo diag --mu 0", "--mu"),
+    ("avalanche --demo hyperbolic --mu inf", "--mu"),
+])
+def test_non_finite_or_out_of_range_numbers_exit_2(model_path, capsys, argv, named):
+    # refused before any sweep, as JSON on stderr: no traceback, no NaN
+    # result, no check switched off
+    cmd, *rest = shlex.split(argv)
+    assert run_cli(cmd, "--model", model_path, *rest) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and named in err["message"]
+
+
+def test_large_energy_and_mc_count_in_exponent_form(model_path, capsys):
+    # (lambda |v| + |E|)^2 stays below DBL_MAX at E = 1e140; 1e3 is 1000 samples
+    code = run_cli("lyapunov", "--model", model_path, "--E", "1e140", "--scales", "8",
+                   "--mc", "1e3")
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["sampler"] == "mc:1000:seed=0"
+    assert rec["value"] == pytest.approx(321.97, abs=0.01)
+
+
 def test_avalanche_model_base(model_path, capsys):
     # the README line runs; a --base that is not two numbers is refused
     code = run_cli("avalanche", "--model", model_path, "--E", "0.0",

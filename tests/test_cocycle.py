@@ -34,7 +34,7 @@ from skewshift.avalanche import avalanche_check, cocycle_blocks
 from skewshift.torus import TorusPoint, mod1, q64, skew_shift_iterate
 
 from conftest import (constant_model, dense_product, make_model, random_points,
-                      transfer_matrix, tridiag_det)
+                      transfer_matrix, tridiag_det, y_dependent_model)
 
 
 # ---------------------------------------------------------------- log-scaled
@@ -368,6 +368,38 @@ def test_tree_fold_matches_oracle(tame_model, monkeypatch):
                     got = f(tame_model, p, 0.3, n)
                     assert got.log_norm == pytest.approx(want.log_norm, rel=1e-12)
                     assert np.allclose(got.unit, want.unit, rtol=0.0, atol=1e-12)
+
+
+def _broadcast_fold(U, S):
+    # the fold as (K, 2, 2, c) broadcast products, the bitwise oracle of the
+    # named-row form (same products, sums and divisions per element)
+    U = U.reshape(len(U), 2, 2, -1)
+    while len(U) > 1:
+        h = len(U) // 2
+        left, right = U[1:2 * h:2], U[0:2 * h:2]
+        p = left[:, :, :1] * right[:, :1] + left[:, :, 1:] * right[:, 1:]
+        sq = p * p
+        fro = np.sqrt(sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1])
+        p /= fro[:, None, None]
+        s = S[0:2 * h:2] + S[1:2 * h:2] + np.log(fro)
+        U, S = np.concatenate((p, U[2 * h:])), np.concatenate((s, S[2 * h:]))
+    return U[0].reshape(4, -1), S[0]
+
+
+@pytest.mark.parametrize("K, c", [(1, 1), (2, 1), (3, 1), (157, 1), (20000, 1),
+                                  (2344, 7), (8, 2048), (4, 64)])
+def test_tree_fold_bitwise_broadcast_oracle(K, c):
+    # one-column stacks (via_f, one-point products, avalanche) and wide ones;
+    # the rows may come in as a strided view, as the avalanche check passes them
+    rng = np.random.default_rng(7 * K + c)
+    U = rng.normal(size=(K, 4, c))
+    U /= np.sqrt(np.sum(U * U, axis=1))[:, None]
+    S = rng.normal(size=(K, c))
+    want_unit, want_scale = _broadcast_fold(U, S)
+    for rows in (np.ascontiguousarray(U.transpose(1, 0, 2)), U.transpose(1, 0, 2)):
+        unit, log_scale = cocycle._tree_fold(rows, S)
+        assert unit.shape == (4, c) and log_scale.shape == (c,)
+        assert np.array_equal(unit, want_unit) and np.array_equal(log_scale, want_scale)
 
 
 def test_negative_a_products(monkeypatch):
@@ -771,22 +803,13 @@ def _textbook_sweep(m, x, y, E, checkpoints):
     return out
 
 
-def _y_dependent_model():
-    # a and v depend on y, with zero-frequency and zero-coefficient terms
-    a = TrigPoly1(((0, 1.5, 0.0), (1, 0.3, 0.1), (2, 0.0, 0.05), (3, 0.0, 0.0)))
-    v = TrigPoly2(((1, 0, 1.0, 0.0, 0.0, 0.0), (1, 1, 0.3, 0.2, 0.0, 0.1),
-                   (0, 2, 0.0, 0.4, 0.0, 0.0), (0, 0, 0.25, 0.0, 0.0, 0.0),
-                   (2, 1, 0.0, 0.0, 0.0, 0.0)))
-    return make_model(lam=3.0, a=a, v=v)
-
-
 def test_staged_along_is_the_one_shot_call(theorem_model):
     # the offset stage, then the row stage into a reused buffer over any split
     # of the steps, is bitwise the one-shot evaluator at the kernel's shapes
     rng = np.random.default_rng(43)
     x, y = rng.random((6, 1)), rng.random((1, 5))
     sx, sy = rng.random((9, 1, 5)) - 0.5, rng.random((9, 1, 1)) - 0.5
-    for m in (theorem_model, _y_dependent_model()):
+    for m in (theorem_model, y_dependent_model()):
         at = m.v.along(x, y)
         want = at(sx, sy)
         for cuts in ([0, 9], [0, 1, 9], [0, 4, 5, 9], list(range(10))):
@@ -804,7 +827,7 @@ def test_folded_row_stage_is_lam_v_minus_E(y_dependent, log_lam, e_frac, cuts, s
     # along(x, y, lam, -E) over any split of the steps is lam*v - E at the
     # moved points within a few ulp of lam * sum|coef| + |E|; bases on a
     # 2^-20 grid and offsets on a 2^-32 grid, so that x + sx is exact
-    v = (_y_dependent_model() if y_dependent else default_theorem_model()).v
+    v = (y_dependent_model() if y_dependent else default_theorem_model()).v
     lam, rng = 10.0**log_lam, np.random.default_rng(seed)
     coef = sum(abs(c) for term in v.terms for c in term[2:])
     E = e_frac * (lam * coef + 3.0)
@@ -864,7 +887,7 @@ def test_block_sweep_bitwise_textbook_wide(theorem_model, monkeypatch):
     inputs = [Sampler.monte_carlo(40, 3).points(),   # MC points
               (gx, gy),                               # grid axes, x of shape (R, 1)
               (np.mod(gx + 0.3 * gy, 1.0), gy)]       # x of shape (R, C)
-    for m in (theorem_model, _y_dependent_model()):
+    for m in (theorem_model, y_dependent_model()):
         for x, y in inputs:
             _assert_matches_textbook(m, x, y, monkeypatch)
 
@@ -931,8 +954,8 @@ def test_kernel_matches_exact_oracle_at_1024(theorem_model):
     gx, gy = Sampler.grid(8).axes()
     mc = Sampler.monte_carlo(12, 5).points()
     negative_a = make_model(lam=1e3, a=TrigPoly1(((0, -1.5, 0.0), (1, -0.3, 0.0))),
-                            v=_y_dependent_model().v)
-    for m in (theorem_model, _y_dependent_model(), negative_a):
+                            v=y_dependent_model().v)
+    for m in (theorem_model, y_dependent_model(), negative_a):
         _assert_matches_oracle(m, gx, gy, 0.3, 1024)
         _assert_matches_oracle(m, *mc, 0.3, 1024)
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from skewshift import lyapunov
+from skewshift import cocycle, lyapunov
 from skewshift.cocycle import batched_log_norm_checkpoints, fundamental_matrix
 from skewshift.lyapunov import (
     KINDS,
@@ -167,6 +167,26 @@ def test_sweep_matches_separate_sweeps_across_chunks(tame_model, monkeypatch):
                 for kind in KINDS:
                     want = sep[keys[kind]] / n
                     assert np.array_equal(out[n][kind], want), (s, shift, n, kind)
+
+
+@pytest.mark.parametrize("kinds", [("plain",), ("unimodular",), ("a_normalized",), KINDS])
+def test_sweep_forms_only_the_requested_kinds(tame_model, kinds):
+    # each returned kind is bitwise the kernel's four-key read-out, and the
+    # read-out behind it forms no other array
+    scales, E = [3, 8], 0.3
+    for s in (Sampler.grid(6, 5), Sampler.monte_carlo(40, 2)):
+        x, y = s.points()
+        want = batched_log_norm_checkpoints(tame_model, x, y, E, scales)
+        got = log_norm_sweep(tame_model, E, scales, s, kinds)
+        keys = tuple(lyapunov._KIND_KEY[kind] for kind in kinds)
+        part = cocycle._checkpoint_log_norms(tame_model, x, y, E, scales, keys)
+        for n in scales:
+            assert tuple(got[n]) == kinds and tuple(part[n]) == keys
+            for kind, key in zip(kinds, keys):
+                assert np.array_equal(got[n][kind], want[n][key] / n)
+                assert np.array_equal(part[n][key], want[n][key])
+    det = cocycle._checkpoint_log_norms(tame_model, x, y, E, scales, ("log_det",))
+    assert all(np.array_equal(det[n]["log_det"], want[n]["log_det"]) for n in scales)
 
 
 def test_shifted_sweep_matches_fraction_oracle(theorem_model):

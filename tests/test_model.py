@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewshift.model import (
+    GRID_2D,
+    TWO_PI,
     JacobiModel,
     ModelAdmissionError,
     TrigPoly1,
@@ -20,7 +23,7 @@ from skewshift.model import (
 )
 from skewshift.torus import GOLDEN_MEAN, Frequency
 
-from conftest import constant_model, make_model
+from conftest import constant_model, make_model, y_dependent_model
 
 
 def test_trigpoly1_eval():
@@ -145,6 +148,56 @@ def test_trigpoly2_along_matches_call(terms, pts):
 def test_trigpoly2_is_constant():
     assert TrigPoly2.constant(3.0).is_constant()
     assert not TrigPoly2.cos_x().is_constant()
+
+
+def test_dead_terms_make_a_constant_potential():
+    # 0.7 sin(0 x) cos(2 pi y) is 0 everywhere: admission sees no live term
+    dead = TrigPoly2(((0, 1, 0.0, 0.0, 0.7, 0.0),))
+    assert dead.is_constant()
+    assert dead.grad_bound() == 0.0
+    assert make_model(v=dead).sup_norm_v == 0.0
+    with pytest.raises(ModelAdmissionError, match="nonconstant"):
+        make_model(v=dead, theorem_mode=True)
+    # a live y term beside it: 0.2 cos(0 x) sin(2 pi y)
+    live = TrigPoly2(((0, 1, 0.0, 0.0, 0.7, 0.0), (0, 1, 0.0, 0.2, 0.0, 0.0)))
+    assert not live.is_constant()
+    assert live.grad_bound() == TWO_PI * 0.2
+
+
+def _one_shot_sup_v(v):
+    # |v| on the whole 1024^2 grid at once, padded by the gradient bound
+    # summed over every term
+    xs = np.arange(GRID_2D) / GRID_2D
+    grad = 0.0
+    for k1, k2, cc, cs, sc, ss in v.terms:
+        grad += TWO_PI * (abs(k1) + abs(k2)) * (abs(cc) + abs(cs) + abs(sc) + abs(ss))
+    return float(np.abs(v(xs[:, None], xs[None, :])).max()) + 0.5 * grad / GRID_2D
+
+
+@pytest.mark.parametrize("name", ["theorem", "tame", "y_dependent", "sin_only"])
+def test_derived_constants_match_one_shot_grid(request, name):
+    # admission takes sup|v| in blocks of rows; a max is exact, so every
+    # constant is bitwise the one-shot grid's
+    m = {"theorem": default_theorem_model,
+         "tame": lambda: request.getfixturevalue("tame_model"),
+         "y_dependent": y_dependent_model,
+         "sin_only": lambda: make_model(v=TrigPoly2(((1, 0, 0.0, 0.0, 0.7, 0.0),))),
+         }[name]()
+    sup_v = _one_shot_sup_v(m.v)
+    assert m.sup_norm_v == sup_v
+    assert m.constant_cva == max(math.e, 4.0 * (1.0 + sup_v) * (1.0 + m.sup_abs_a))
+    assert m.energy_bound == m.lam * sup_v + 2.0 * m.sup_abs_a + 1.0
+
+
+def test_admission_peak_memory():
+    # the 1024^2 grid of v is 8 MiB; admission holds a quarter of it at a time
+    tracemalloc.start()
+    try:
+        default_theorem_model()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_derive_constants_default():
