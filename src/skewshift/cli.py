@@ -3,7 +3,7 @@
 One subcommand per library operation; JSON for configs and records, CSV
 for tabular plot data, static SVG for figures.  Exit codes: 0 success,
 2 validation error (machine-readable JSON on stderr), 3 budget or noise
-refusal.  SKEWSHIFT_THREADS overrides --threads.
+refusal.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .lyapunov import (
     Sampler,
     charge,
     counter_uniform,
-    env_threads,
     lyapunov_profile,
 )
 from .model import ModelAdmissionError, default_theorem_model, load_model
@@ -43,11 +42,6 @@ from .torus import Frequency, TorusPoint, diophantine_check
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-
-
-def _threads(args) -> int | None:
-    env = env_threads()
-    return env if env is not None else args.threads
 
 
 def _sampler(args) -> Sampler:
@@ -102,7 +96,7 @@ def cmd_lyapunov(args) -> int:
     s = _sampler(args)
     ests, running = lyapunov_profile(m, args.E, _int_list(args.scales), s,
                                      kind=args.kind, budget=args.budget,
-                                     threads=_threads(args))
+                                     threads=args.threads)
     records = []
     for est, inf_val in zip(ests, running):
         rec = est.to_json()
@@ -120,7 +114,7 @@ def cmd_deviation(args) -> int:
         thr = (args.threshold if args.threshold is not None
                else m.scaling_factor(args.E) * n ** (-args.tau))
         rep = deviation_measure(m, args.E, n, thr, s, kind=args.kind,
-                                budget=args.budget, threads=_threads(args))
+                                budget=args.budget, threads=args.threads)
         records.append(rep.to_json())
     _emit(records, args.out)
     return EXIT_OK
@@ -171,7 +165,7 @@ def cmd_induction(args) -> int:
     m = load_model(args.model)
     rec = induction_step(m, args.E, args.n, args.N, args.gamma, Sampler.grid(args.grid),
                          deviation_sampler=_sampler(args), budget=args.budget,
-                         threads=_threads(args))
+                         threads=args.threads)
     _emit(rec.to_json(), args.out)
     return EXIT_OK
 
@@ -180,7 +174,7 @@ def cmd_continuity(args) -> int:
     m = load_model(args.model)
     probe = continuity_probe(m, args.E, _float_list(args.deltas), args.N,
                              Sampler.grid(args.grid), budget=args.budget,
-                             threads=_threads(args))
+                             threads=args.threads)
     _emit(probe.to_json(), args.out)
     return EXIT_OK
 
@@ -188,7 +182,7 @@ def cmd_continuity(args) -> int:
 def cmd_initial_scale(args) -> int:
     m = load_model(args.model)
     rep = initial_scale_check(m, args.E, args.n, _sampler(args),
-                              budget=args.budget, threads=_threads(args))
+                              budget=args.budget, threads=args.threads)
     _emit(rep.to_json(), args.out)
     return EXIT_OK
 
@@ -205,7 +199,7 @@ def cmd_run(args) -> int:
     else:
         m = default_theorem_model()
     out_dir = args.out or cfg.get("output_dir") or "archive"
-    theorem_mode_run(m, cfg, out_dir, threads=_threads(args))
+    theorem_mode_run(m, cfg, out_dir, threads=args.threads)
     _emit({"archive": out_dir}, None)
     return EXIT_OK
 
@@ -318,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--E", type=float, required=True)
         sp.add_argument("--grid", type=int, default=64)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--budget", type=float, default=DEFAULT_WORK_BUDGET)
         if mc:
             sp.add_argument("--mc", default=None)
@@ -381,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="full theorem-mode pipeline")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("plotdata", help="emit per-figure CSV and SVG")

@@ -59,20 +59,20 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DeviationReport:
+    """A deviation-set measure and its 95% Wilson interval [ci_lo, ci_hi]."""
+
     n: int
     E: float
     threshold: float
-    empirical_measure: float
-    wilson: tuple[float, float]
+    measure: float
+    ci_lo: float
+    ci_hi: float
     samples: int
     reference: LyapunovEstimate
     kind: str
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["measure"] = d.pop("empirical_measure")
-        d["ci_lo"], d["ci_hi"] = d.pop("wilson")
-        return d
+        return asdict(self)
 
 
 def deviation_measure(
@@ -84,7 +84,7 @@ def deviation_measure(
     kind: str = "plain",
     reference: LyapunovEstimate | None = None,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> DeviationReport:
     """Fraction of sampled (x, y) with |(1/n) log||M_n|| - L_n| > threshold.
 
@@ -106,13 +106,10 @@ def deviation_measure(
         raise DeviationError(int(math.ceil(count * scale * scale)))
     u = log_norm_sweep(m, E, [n], s, (kind,), budget=budget, threads=threads)[n][kind]
     exceed = int(np.count_nonzero(np.abs(u - reference.value) > threshold))
-    total = u.size
-    return DeviationReport(
-        n=n, E=float(E), threshold=float(threshold),
-        empirical_measure=exceed / total,
-        wilson=wilson_interval(exceed, total),
-        samples=total, reference=reference, kind=kind,
-    )
+    lo, hi = wilson_interval(exceed, u.size)
+    return DeviationReport(n=n, E=float(E), threshold=float(threshold),
+                           measure=exceed / u.size, ci_lo=lo, ci_hi=hi,
+                           samples=u.size, reference=reference, kind=kind)
 
 
 def _orbit_scan(m: JacobiModel, x: np.ndarray, y: np.ndarray, E: float, n: int) -> dict:
@@ -172,8 +169,8 @@ class InitialScaleReport:
 
     def to_json(self) -> dict:
         d = asdict(self)
-        if d.pop("deviation") is not None:  # case 2 records carry no deviation
-            d["deviation"] = self.deviation.to_json()
+        if d["deviation"] is None:  # case 2 records carry no deviation
+            del d["deviation"]
         return d
 
 
@@ -183,7 +180,7 @@ def case2_uniform_check(
     n: int,
     s: Sampler,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> tuple[float, int]:
     """Pointwise check |(1/n) log||M_n|| - log|E|| <= 8 + 2 log 2 in the
     uniform regime |E| > 2 lambda ||v||; returns (max deviation, violations)."""
@@ -199,7 +196,7 @@ def initial_scale_check(
     s: Sampler,
     reference: LyapunovEstimate | None = None,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> InitialScaleReport:
     """The large-disorder initial-scale diagnostics, split on the energy
     regime at |E| = 2 lambda ||v||.  Every sweep is charged against `budget`
@@ -292,13 +289,14 @@ def lojasiewicz_probe(
         if mask.sum() < 2:
             fits.append(LojasiewiczFit(float(h), None, None, None, True))
             continue
-        lt = np.log(ts[mask])
-        lm = np.log(ms[mask])
-        A = np.vstack([lt, np.ones_like(lt)]).T
-        (b, logc), *_ = np.linalg.lstsq(A, lm, rcond=None)
-        resid = lm - A @ np.array([b, logc])
-        fits.append(
-            LojasiewiczFit(float(h), float(math.exp(logc)), float(b),
-                           float(np.sqrt(np.mean(resid ** 2))), False)
-        )
+        b, logc, rms = fit_line(np.log(ts[mask]), np.log(ms[mask]))
+        fits.append(LojasiewiczFit(float(h), math.exp(logc), b, rms, False))
     return LojasiewiczProbe(fits=fits, table=table)
+
+
+def fit_line(u: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares fit of w = slope * u + intercept: (slope, intercept, rms residual)."""
+    A = np.vstack([u, np.ones_like(u)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(A, w, rcond=None)
+    r = w - A @ np.array([slope, intercept])
+    return float(slope), float(intercept), float(np.sqrt(np.mean(r ** 2)))

@@ -8,7 +8,6 @@ count.  Grid quadrature is the midpoint rule on a uniform lattice.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -137,21 +136,6 @@ class LyapunovEstimate:
         return asdict(self)
 
 
-def env_threads() -> int | None:
-    """The thread count set by SKEWSHIFT_THREADS, or None when it is unset.
-
-    A value that is not an integer raises ValueError.
-    """
-    env = os.environ.get("SKEWSHIFT_THREADS")
-    if not env:
-        return None
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(
-            f"SKEWSHIFT_THREADS must be an integer, got {env!r}") from None
-
-
 def log_norm_sweep(
     m: JacobiModel,
     E: float,
@@ -160,25 +144,24 @@ def log_norm_sweep(
     kinds: tuple[str, ...] = ("plain",),
     shift: int = 0,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> dict[int, dict[str, np.ndarray]]:
     """Per-sample values of (1/n) log||M_n|| at every scale n in `scales`
     and for each normalization in `kinds`, all from one checkpointed sweep.
 
     The work (points x largest scale) is checked against `budget` before any
     point is generated.  Points are swept in chunks on `threads` worker
-    threads (default SKEWSHIFT_THREADS, else 1): MC samples in fixed chunks
-    of _CHUNK, grids as whole rows of their axes, so the kernel computes
-    what depends on y once per column.  Every value is computed per sample,
-    so results do not depend on the chunking or the thread count.  `shift`
-    evaluates at T^shift of each sample point (the grid estimate of the
-    same integral, by measure preservation), moved by `exact_orbit_phases`.
+    threads: MC samples in fixed chunks of _CHUNK, grids as whole rows of
+    their axes, so the kernel computes what depends on y once per column.
+    Every value is computed per sample, so results do not depend on the
+    chunking or the thread count.  `shift` evaluates at T^shift of each
+    sample point (the grid estimate of the same integral, by measure
+    preservation), moved by `exact_orbit_phases`.
     """
     if any(kind not in _KIND_KEY for kind in kinds):
         raise ValueError(f"kind must be one of {KINDS}")
     scales = sorted({int(n) for n in scales})
     charge(max(scales, default=0), sampler, budget)
-    nthreads = max(1, (env_threads() or 1) if threads is None else threads)
     if sampler.kind == "grid":
         x, y = sampler.axes()
         step = max(1, _CHUNK // sampler.gy)
@@ -196,8 +179,8 @@ def log_norm_sweep(
                                     E, scales, keys)
         return {(n, kind): res[n][_KIND_KEY[kind]] for n in scales for kind in kinds}
 
-    if nthreads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, chunks))
     else:
         parts = [run(span) for span in chunks]
@@ -214,7 +197,7 @@ def sample_log_norms(
     n: int,
     sampler: Sampler,
     kind: str = "plain",
-    threads: int | None = None,
+    threads: int = 1,
     budget: float = DEFAULT_WORK_BUDGET,
 ) -> np.ndarray:
     """Per-sample values of (1/n) log||M_n|| for the requested normalization:
@@ -230,7 +213,7 @@ def lyapunov_estimates(
     sampler: Sampler,
     kinds: tuple[str, ...] = ("plain",),
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> dict[int, dict[str, LyapunovEstimate]]:
     """Mean of (1/n) log||M_n|| over the sampler at every scale n in
     `scales` and for each normalization in `kinds`, from one sweep.
@@ -262,7 +245,7 @@ def lyapunov_finite(
     sampler: Sampler,
     kind: str = "plain",
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> LyapunovEstimate:
     """Mean of (1/n) log||M_n|| over the sampler: the one-scale view of
     `lyapunov_estimates`."""
@@ -277,7 +260,7 @@ def lyapunov_profile(
     sampler: Sampler,
     kind: str = "plain",
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> tuple[list[LyapunovEstimate], list[float]]:
     """Estimates at each scale, all from one sweep, plus the running
     infimum (the L(E) proxy)."""
@@ -300,7 +283,7 @@ def lyapunov_all_kinds(
     scales: list[int],
     sampler: Sampler,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> dict[int, dict[str, LyapunovEstimate]]:
     """All three normalizations at every scale from a single cocycle sweep."""
     return lyapunov_estimates(m, E, scales, sampler, KINDS, budget=budget,
@@ -314,7 +297,7 @@ def almost_invariance_defect(
     K: int,
     sampler: Sampler,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> float:
     """sup over sample points of |(1/K) sum_{k=1..K} u_n(T^k p) - u_n(p)|
     with u_n = (1/n) log||M_n^u||.  The empty average (K = 0) is 0.  The
@@ -343,7 +326,7 @@ def subadditivity_check(
     msteps: int,
     grid: Sampler,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> dict:
     """(n+m) L_{n+m} <= n L_n + m L_m on one matched grid.
 

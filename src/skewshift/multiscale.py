@@ -25,6 +25,7 @@ from .deviation import (
     REFERENCE_GRID,
     DeviationReport,
     deviation_measure,
+    fit_line,
     initial_scale_check,
 )
 from .lyapunov import (  # noqa: F401 (lyapunov_finite, sample_log_norms re-exported)
@@ -115,8 +116,7 @@ class InductionRecord:
                 and self.hyp_gap and self.hyp_arith)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "hyp_ldt_n": self.hyp_ldt_n.to_json(),
-                "hyp_ldt_2n": self.hyp_ldt_2n.to_json()}
+        return asdict(self)
 
 
 def arithmetic_hypothesis(gamma: float, S: float, n: int, N: int) -> bool:
@@ -132,7 +132,7 @@ def induction_steps(
     sampler: Sampler,
     deviation_sampler: Sampler | None = None,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> list[InductionRecord]:
     """Induction steps for several (n, N) pairs at one energy: estimate
     every pair's four Lyapunov scales n, 2n, N, 2N from one sweep (to the
@@ -188,8 +188,8 @@ def induction_steps(
             hyp_ldt_n=dev_n, hyp_ldt_2n=dev_2n,
             ldt_paper_bound=float(N) ** -10,
             ldt_proxy_bound=LDT_PROXY_BOUND,
-            hyp_ldt_n_ok=dev_n.wilson[1] <= LDT_PROXY_BOUND,
-            hyp_ldt_2n_ok=dev_2n.wilson[1] <= LDT_PROXY_BOUND,
+            hyp_ldt_n_ok=dev_n.ci_hi <= LDT_PROXY_BOUND,
+            hyp_ldt_2n_ok=dev_2n.ci_hi <= LDT_PROXY_BOUND,
             hyp_min_L=min(L_n, L_2n) >= gamma * S,
             hyp_gap=gap_small <= gamma * S / 40.0,
             hyp_arith=arithmetic_hypothesis(gamma, S, n, N),
@@ -208,7 +208,7 @@ def induction_step(
     sampler: Sampler,
     deviation_sampler: Sampler | None = None,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> InductionRecord:
     """One induction step (four Lyapunov scales from one sweep to 2N): the
     one-pair view of `induction_steps`."""
@@ -247,7 +247,7 @@ def continuity_probe(
     s: Sampler,
     sigma: float = 1.0 / 25.0,
     budget: float = DEFAULT_WORK_BUDGET,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> ContinuityProbe:
     """|L_N(E) - L_N(E +/- delta)| on matched samplers.
 
@@ -255,8 +255,11 @@ def continuity_probe(
     one-step factor norm) is a pointwise algebraic consequence on matched
     samples and is asserted via `hard_ok`.  The log-Hoelder form is fitted
     against the running-infimum proxy of L over the scales N/4, N/2 and N
-    and reported, not asserted.  Each energy takes one sweep covering them.
+    and reported, not asserted.  Each energy takes one sweep covering them;
+    N < 3, whose proxy scales would exceed N, raises ValueError.
     """
+    if N < 3:
+        raise ValueError(f"continuity N must be >= 3, got {N}")
     if not all(0 < d < math.inf for d in deltas):
         raise ValueError("deltas must be finite and positive")
     if sorted(deltas, reverse=True) != list(deltas):
@@ -287,14 +290,10 @@ def continuity_probe(
         if dproxy > 0:
             pts.append((d, dproxy))
     C_fit = c_fit = resid = None
-    if len(pts) >= 2:
+    if len(pts) >= 2:  # log dL = log C - c (log 1/delta)^sigma
         g = np.array([(math.log(1.0 / d)) ** sigma for d, _ in pts])
-        ld = np.array([math.log(v) for _, v in pts])
-        A = np.vstack([-g, np.ones_like(g)]).T
-        (c_coef, logC), *_ = np.linalg.lstsq(A, ld, rcond=None)
-        r = ld - A @ np.array([c_coef, logC])
-        C_fit, c_fit = float(math.exp(logC)), float(c_coef)
-        resid = float(np.sqrt(np.mean(r ** 2)))
+        c_fit, logC, resid = fit_line(-g, np.array([math.log(v) for _, v in pts]))
+        C_fit = math.exp(logC)
     return ContinuityProbe(
         E_center=float(E_center), N=N, rows=rows,
         loghoelder_C=C_fit, loghoelder_c=c_fit, loghoelder_residual=resid,
@@ -313,10 +312,10 @@ def _finite(v) -> bool:
 def resolve_config(config: dict) -> dict:
     """Fill in pipeline defaults; the resolved config is archived verbatim.
 
-    A known key whose value is not of its default's JSON type raises
-    ValueError naming it: finite numbers (not bools) or lists of them,
-    `induction_pairs` null or [n, N] pairs, `model_path` and `output_dir`
-    strings.  Nothing is coerced.
+    A key that is not a default, `model_path` or `output_dir`, or whose
+    value is not of its default's JSON type, raises ValueError naming it:
+    finite numbers (not bools) or lists of them, `induction_pairs` null or
+    [n, N] pairs, `model_path` and `output_dir` strings.  Nothing is coerced.
     """
     if not isinstance(config, dict):
         raise ValueError(f"the run config must be a JSON object, got {type(config).__name__}")
@@ -344,10 +343,12 @@ def resolve_config(config: dict) -> dict:
     for key, value in config.items():
         if key in ("model_path", "output_dir"):
             ok = isinstance(value, str)
+        elif key not in cfg:
+            raise ValueError(f"unknown config key {key!r}")
         elif key == "induction_pairs":
             ok = value is None or isinstance(value, list) and all(numbers(p, 2) for p in value)
         else:
-            ok = key not in cfg or (numbers if isinstance(cfg[key], list) else _finite)(value)
+            ok = (numbers if isinstance(cfg[key], list) else _finite)(value)
         if not ok:
             raise ValueError(f"config key {key!r} has the wrong JSON type: {value!r}")
     cfg.update(config)
@@ -377,7 +378,7 @@ def _dump_csv(rows, header, path):
 
 
 def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
-                     threads: int | None = None) -> dict:
+                     threads: int = 1) -> dict:
     """Run the full pipeline and emit a self-contained archive directory.
 
     Layout: config.json, model.json, records/*.jsonl, tables/*.csv, and a
@@ -407,9 +408,15 @@ def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
     if not freq_rec["passes"]:
         raise RunStageError("admission", ValueError(
             f"frequency fails the Diophantine scan at n={freq_rec['worst_n']}"))
-    os.makedirs(output_dir, exist_ok=True)
     os.makedirs(os.path.join(output_dir, "records"), exist_ok=True)
     os.makedirs(os.path.join(output_dir, "tables"), exist_ok=True)
+
+    def archive(name, records, header=None, rows=()):
+        # records/<name>.jsonl, and tables/<name>.csv for a stage with a table
+        _dump_jsonl(records, os.path.join(output_dir, "records", name + ".jsonl"))
+        if header:
+            _dump_csv(rows, header, os.path.join(output_dir, "tables", name + ".csv"))
+
     budget = cfg["work_budget"]
     seed = cfg["seed"]
     mc = Sampler.monte_carlo(cfg["mc_samples"], seed)
@@ -435,9 +442,8 @@ def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
             lyap_rows.append([E, n, ests["plain"].value,
                               ests["unimodular"].value,
                               ests["a_normalized"].value, best])
-    _dump_jsonl(lyap_records, os.path.join(output_dir, "records", "lyapunov.jsonl"))
-    _dump_csv(lyap_rows, ["E", "n", "L_plain", "L_u", "L_a", "running_inf_u"],
-              os.path.join(output_dir, "tables", "lyapunov.csv"))
+    archive("lyapunov", lyap_records,
+            ["E", "n", "L_plain", "L_u", "L_a", "running_inf_u"], lyap_rows)
 
     # one sweep of the reference grid per energy serves every deviation scale and n0
     refs = {E: stage("deviation", lambda E=E: lyapunov_estimates(
@@ -451,7 +457,7 @@ def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
             m, E, cfg["n0"], mc, reference=refs[E][cfg["n0"]]["unimodular"],
             budget=budget, threads=threads))
         init_records.append(rep.to_json())
-    _dump_jsonl(init_records, os.path.join(output_dir, "records", "initial_scale.jsonl"))
+    archive("initial_scale", init_records)
 
     # induction steps
     ind_records = []
@@ -460,7 +466,7 @@ def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
             m, E, cfg["induction_pairs"], cfg["gamma"], grid,
             deviation_sampler=mc, budget=budget, threads=threads))
         ind_records.extend(rec.to_json() for rec in recs)
-    _dump_jsonl(ind_records, os.path.join(output_dir, "records", "induction.jsonl"))
+    archive("induction", ind_records)
 
     # deviation trend
     dev_records = []
@@ -473,22 +479,20 @@ def theorem_mode_run(m: JacobiModel, config: dict, output_dir: str,
                 m, E, n, thr, mc, kind="plain", reference=refs[E][n]["plain"],
                 budget=budget, threads=threads))
             dev_records.append(rep.to_json())
-            dev_rows.append([n, E, thr, rep.empirical_measure,
-                             rep.wilson[0], rep.wilson[1], rep.samples, seed])
-    _dump_jsonl(dev_records, os.path.join(output_dir, "records", "deviation.jsonl"))
-    _dump_csv(dev_rows,
-              ["n", "E", "threshold", "measure", "ci_lo", "ci_hi", "samples", "seed"],
-              os.path.join(output_dir, "tables", "deviation.csv"))
+            dev_rows.append([n, E, thr, rep.measure, rep.ci_lo, rep.ci_hi,
+                             rep.samples, seed])
+    archive("deviation", dev_records,
+            ["n", "E", "threshold", "measure", "ci_lo", "ci_hi", "samples", "seed"],
+            dev_rows)
 
     # continuity probe at the first grid energy
     cont = stage("continuity", lambda: continuity_probe(
         m, E_grid[0], cfg["continuity_deltas"], cfg["continuity_N"], grid,
         sigma=cfg["sigma"], budget=budget, threads=threads))
-    _dump_jsonl([cont.to_json()], os.path.join(output_dir, "records", "continuity.jsonl"))
-    _dump_csv([[r.delta, r.dL, r.lipschitz_log_bound, int(r.hard_ok), r.dL_proxy]
-               for r in cont.rows],
-              ["delta", "dL", "lipschitz_log_bound", "hard_ok", "dL_proxy"],
-              os.path.join(output_dir, "tables", "continuity.csv"))
+    archive("continuity", [cont.to_json()],
+            ["delta", "dL", "lipschitz_log_bound", "hard_ok", "dL_proxy"],
+            [[r.delta, r.dL, r.lipschitz_log_bound, int(r.hard_ok), r.dL_proxy]
+             for r in cont.rows])
 
     _dump_json(cfg, os.path.join(output_dir, "config.json"))
     _dump_json(model_to_dict(m), os.path.join(output_dir, "model.json"))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from skewshift.model import (
     model_to_dict,
     save_model,
 )
+from skewshift.multiscale import resolve_config
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +161,8 @@ def test_deviation_zero_threshold_exit_2(model_path, capsys):
     ("continuity --E 0 --deltas nan", "deltas"),
     ("continuity --E 0 --deltas inf,1e-2", "deltas"),
     ("continuity --E 0 --deltas ,", "list"),
+    ("continuity --E 0 --deltas 1e-2 --N 2", "N must be >= 3"),
+    ("continuity --E 0 --deltas 1e-2 --N 1", "N must be >= 3"),
     ("induction --E 0 --n 4 --N 16 --gamma -1", "gamma"),
     ("induction --E 0 --n 4 --N 16 --gamma nan", "gamma"),
     ("avalanche --base 0.3,inf", "finite"),
@@ -257,6 +261,24 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     assert Path("figs", "fig_lyapunov.svg").is_file()
 
 
+def test_readme_flags_and_config_keys_match_code():
+    # the README's flag table lists each subcommand's options, and its
+    # "plus any of" list the keys a run config may hold besides the paths
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"\| command \| flags \|\n\|---\|---\|\n(.*?)\n\n", readme, re.S)
+    documented = {}
+    for row in table.group(1).splitlines():
+        command, flags = row.strip("|").split("|")
+        documented[command.strip().strip("`")] = set(re.findall(r"`(--\w+)`", flags))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+              for name, sp in sub.choices.items()}
+    assert documented == parsed
+    keys = re.search(r"plus any of: (.*?)\.\s", readme, re.S).group(1)
+    assert set(re.findall(r"`(\w+)`", keys)) == set(resolve_config({}))
+
+
 def test_continuity_cmd(tmp_path, model_path):
     out = tmp_path / "cont.json"
     code = run_cli("continuity", "--model", model_path, "--E", "0",
@@ -332,25 +354,14 @@ def test_plotdata_golden_headers(tmp_path, archive):
         == "E,n,L_plain,L_u,L_a,running_inf_u"
 
 
-def test_threads_env_invariance(tmp_path, model_path, monkeypatch):
+def test_threads_env_invariance(tmp_path, model_path):
     outs = []
     for k in ("1", "4"):
-        monkeypatch.setenv("SKEWSHIFT_THREADS", k)
         path = tmp_path / f"t{k}.jsonl"
-        assert run_cli("lyapunov", "--model", model_path, "--E", "0",
-                       "--scales", "12", "--mc", "2000", "--out", str(path)) == 0
+        assert run_cli("lyapunov", "--model", model_path, "--E", "0", "--scales", "12",
+                       "--mc", "2000", "--threads", k, "--out", str(path)) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_threads_env_malformed_exit_2(model_path, monkeypatch, capsys):
-    monkeypatch.setenv("SKEWSHIFT_THREADS", "two")
-    code = run_cli("lyapunov", "--model", model_path, "--E", "0",
-                   "--scales", "4", "--grid", "4")
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
-    assert "SKEWSHIFT_THREADS" in err["message"]
 
 
 def test_run_model_path_default_and_relative(tmp_path, model_path):
@@ -408,6 +419,7 @@ def test_non_finite_model_and_epsilon_exit_2(tmp_path, model_path, capsys):
     ('{"n0": true}', "n0"), ('{"sigma": NaN}', "sigma"),
     ('{"scales": [8, "16"]}', "scales"), ('{"induction_pairs": [[4]]}', "induction_pairs"),
     ('{"model_path": 5}', "model_path"), ('{"output_dir": ["a"]}', "output_dir"),
+    ('{"mc_sample": 10}', "unknown config key 'mc_sample'"),
 ])
 def test_run_config_types_exit_2(tmp_path, capsys, text, named):
     # checked before the model is read or any stage runs; nothing is coerced

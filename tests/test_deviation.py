@@ -55,14 +55,14 @@ def test_deviation_requires_positive_threshold(tame_model):
 
 def test_deviation_measure_grid(tame_model):
     rep = deviation_measure(tame_model, 0.0, 20, 0.5, Sampler.grid(32))
-    assert 0.0 <= rep.empirical_measure <= 1.0
-    assert rep.wilson[0] <= rep.empirical_measure <= rep.wilson[1]
+    assert 0.0 <= rep.measure <= 1.0
+    assert rep.ci_lo <= rep.measure <= rep.ci_hi
     assert rep.samples == 32 * 32
 
 
 def test_deviation_huge_threshold_zero(tame_model):
     rep = deviation_measure(tame_model, 0.0, 20, 100.0, Sampler.grid(16))
-    assert rep.empirical_measure == 0.0
+    assert rep.measure == 0.0
 
 
 def test_deviation_refuses_noisy_reference(tame_model):
@@ -87,8 +87,8 @@ def test_deviation_json(tame_model):
     assert set(d) == DEVIATION_KEYS
     assert set(d["reference"]) == ESTIMATE_KEYS
     assert d["n"] == 10
-    assert d["measure"] == rep.empirical_measure
-    assert (d["ci_lo"], d["ci_hi"]) == rep.wilson
+    assert d["measure"] == rep.measure
+    assert (d["ci_lo"], d["ci_hi"]) == (rep.ci_lo, rep.ci_hi)
 
 
 def test_case2_uniform_regime(theorem_model):

@@ -262,12 +262,6 @@ def test_sample_log_norms_budget(tame_model):
     assert np.array_equal(got, sample_log_norms(tame_model, 0.1, n, s))
 
 
-def test_threads_env_malformed(tame_model, monkeypatch):
-    monkeypatch.setenv("SKEWSHIFT_THREADS", "two")
-    with pytest.raises(ValueError, match="SKEWSHIFT_THREADS"):
-        sample_log_norms(tame_model, 0.0, 4, Sampler.grid(4))
-
-
 def test_profile_running_infimum(tame_model):
     ests, running = lyapunov_profile(tame_model, 0.0, [5, 10, 20, 40],
                                      Sampler.grid(16))
